@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"log"
 
+	"bitc/internal/analysis"
 	"bitc/internal/core"
 	"bitc/internal/vm"
 )
@@ -76,7 +77,10 @@ func main() {
 			log.Fatalf("%s: %v", v.name, err)
 		}
 
-		races := prog.Races()
+		rep, err := prog.Analyze(analysis.Options{Enable: []string{"race"}})
+		if err != nil {
+			log.Fatalf("%s: %v", v.name, err)
+		}
 		val, machine, err := prog.RunFunc("entry", vm.IntValue(transfers))
 		if err != nil {
 			log.Fatalf("%s: %v", v.name, err)
@@ -86,7 +90,7 @@ func main() {
 			verdict = fmt.Sprintf("invariant VIOLATED: drift %+d", val.I-1000)
 		}
 		fmt.Printf("%-16s total=%4d  %-28s static races=%d  commits=%d aborts=%d\n",
-			v.name, val.I, verdict, len(races.Races),
+			v.name, val.I, verdict, len(rep.Findings),
 			machine.Stats.TxCommits, machine.Stats.TxAborts)
 	}
 

@@ -6,10 +6,9 @@
 // The paper's challenge 1 (application constraint checking) and challenge 4
 // (managing shared state) both argue that checking must be *integrated* —
 // one harness, one diagnostics pipeline, machine-readable verdicts — rather
-// than a pile of disconnected tools. Before this package the repo had three
-// analysis islands (lockset races, region escapes, VC verification) with
-// incompatible report types; here the first two are ported onto a shared
-// Analyzer interface and joined by five new checkers.
+// than a pile of disconnected tools. Lockset races and region escapes are
+// analyzers here like every other checker: one checker per property, one
+// report format for all of them.
 package analysis
 
 import (
@@ -18,6 +17,7 @@ import (
 
 	"bitc/internal/ast"
 	"bitc/internal/cfg"
+	"bitc/internal/factstore"
 	"bitc/internal/pointsto"
 	"bitc/internal/source"
 	"bitc/internal/types"
@@ -74,6 +74,12 @@ func (p *Pass) CFG(fn *ast.DefineFunc) *cfg.Graph {
 		fn = p.Fn
 	}
 	return p.cfgs[fn]
+}
+
+// Abs resolves a summary fact's definition-relative span against the
+// program under analysis. Analyzers call it when they report a fact.
+func (p *Pass) Abs(r factstore.RelSpan) source.Span {
+	return p.Summaries.ix.Abs(r)
 }
 
 // Report appends a finding, stamping the analyzer name.

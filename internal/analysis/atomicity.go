@@ -14,8 +14,8 @@ import (
 // service runs over it (internal/serve). It consumes only the whole-program
 // aggregates the summary engine derives — SharedAccesses, AtomicEffects,
 // NestedAtomics, RetryLoops, LockEdges — never a per-function summary
-// directly: the incremental driver's warm path decodes only dirty summaries,
-// and the aggregates are exactly the facts it folds for every run.
+// directly: the aggregates are exactly the facts both drivers fold, and the
+// incremental driver caches them whole.
 //
 //   - BITC-ATOM001: a shared location is managed by atomic regions somewhere
 //     in the program, but a write reaches it outside any atomic. The bare
@@ -78,7 +78,7 @@ func reportBareWrites(p *Pass) {
 		}
 		key := ac.Global + "." + ac.Field
 		if managed[key] == nil {
-			managed[key] = &loc{atomicSpan: ac.Span, atomicFn: ac.Func}
+			managed[key] = &loc{atomicSpan: p.Abs(ac.Span), atomicFn: ac.Func}
 			keys = append(keys, key)
 		}
 	}
@@ -101,7 +101,8 @@ func reportBareWrites(p *Pass) {
 			if !ac.Write || ac.Global+"."+ac.Field != key || hasLock(ac.Lockset, "atomic") {
 				continue
 			}
-			rk := key + "|" + strconv.Itoa(int(ac.Span.Start))
+			span := p.Abs(ac.Span)
+			rk := key + "|" + strconv.Itoa(int(span.Start))
 			if reported[rk] {
 				continue
 			}
@@ -110,7 +111,7 @@ func reportBareWrites(p *Pass) {
 				span source.Span
 				fn   string
 				ls   []string
-			}{ac.Span, ac.Func, ac.Lockset})
+			}{span, ac.Func, ac.Lockset})
 		}
 		sort.Slice(bare, func(i, j int) bool { return bare[i].span.Start < bare[j].span.Start })
 		for _, w := range bare {
@@ -151,7 +152,7 @@ func reportAtomicEffects(p *Pass) {
 			msg = fmt.Sprintf("channel/thread operation %s reachable inside an atomic region in %s: it cannot be rolled back (the VM traps here)",
 				e.Name, e.Fn)
 		}
-		p.Reportf(CodeAtomEffect, source.Error, e.Span, "%s", msg)
+		p.Reportf(CodeAtomEffect, source.Error, p.Abs(e.Span), "%s", msg)
 	}
 }
 
@@ -177,7 +178,7 @@ func reportPrepareOrder(p *Pass) {
 			p.Report(Finding{
 				Code:     CodeAtomPrepare,
 				Severity: source.Warning,
-				Span:     site.Span,
+				Span:     p.Abs(site.Span),
 				Message: fmt.Sprintf("%s acquired while %s is held in %s: descending %s-index acquisition breaks the ascending-prepare discipline two-phase commit relies on for deadlock freedom",
 					b, a, site.Fn, famA),
 			})
@@ -188,11 +189,11 @@ func reportPrepareOrder(p *Pass) {
 // reportNestingAndRetries flags ATOM004 hazards.
 func reportNestingAndRetries(p *Pass) {
 	for _, a := range p.Summaries.NestedAtomics {
-		p.Reportf(CodeAtomNested, source.Warning, a.Span,
+		p.Reportf(CodeAtomNested, source.Warning, p.Abs(a.Span),
 			"atomic region in %s entered while another atomic is already open: nesting flattens into one transaction, so an inner conflict rolls back and re-runs the whole nest", a.Fn)
 	}
 	for _, r := range p.Summaries.RetryLoops {
-		p.Reportf(CodeAtomNested, source.Warning, r.Span,
+		p.Reportf(CodeAtomNested, source.Warning, p.Abs(r.Span),
 			"atomic region in %s retried by an unbounded loop over shared %s: no retry budget bounds the combined STM + application retries (add a bounded backoff like the 2PC coordinator's)", r.Fn, r.Cond)
 	}
 }

@@ -51,7 +51,7 @@ func hasCode(rep *analysis.Report, code string) bool {
 }
 
 // ---------------------------------------------------------------------------
-// race (ported lockset adapter)
+// race (see also race_test.go)
 // ---------------------------------------------------------------------------
 
 const counterHeader = `
@@ -94,7 +94,7 @@ func TestRaceNegative(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// escape (ported region adapter)
+// escape (see also lifetime_test.go)
 // ---------------------------------------------------------------------------
 
 func TestEscapePositive(t *testing.T) {

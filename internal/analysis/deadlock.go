@@ -43,7 +43,7 @@ func runDeadlock(p *Pass) {
 	sort.Strings(selfLocks)
 	for _, lock := range selfLocks {
 		e := self[lock]
-		p.Reportf(CodeLockSelf, source.Error, e.Span,
+		p.Reportf(CodeLockSelf, source.Error, p.Abs(e.Span),
 			"lock %s acquired in %s while already held (non-reentrant: self-deadlock)", lock, e.Fn)
 	}
 
@@ -90,11 +90,11 @@ func runDeadlock(p *Pass) {
 				p.Report(Finding{
 					Code:     CodeLockOrder,
 					Severity: source.Warning,
-					Span:     fwd.Span,
+					Span:     p.Abs(fwd.Span),
 					Message: fmt.Sprintf("locks %s and %s are acquired in inconsistent order (possible deadlock); %s-then-%s in %s",
 						a, b, a, b, fwd.Fn),
 					Related: []Related{{
-						Span:    rev.Span,
+						Span:    p.Abs(rev.Span),
 						Message: fmt.Sprintf("%s-then-%s in %s", b, a, rev.Fn),
 					}},
 				})

@@ -8,7 +8,6 @@ import (
 
 	"bitc/internal/ast"
 	"bitc/internal/cfg"
-	"bitc/internal/concurrent"
 	"bitc/internal/factstore"
 	"bitc/internal/pointsto"
 	"bitc/internal/source"
@@ -51,7 +50,7 @@ import (
 //                 instead of one per (analyzer, function) pair, which is
 //                 what keeps a warm no-op probe cheap at 100k functions.
 //   aggKey        early cutoff for the whole-program aggregation fold: every
-//                 function's name, summary value hash (VHash), and
+//                 function's name, summary value hash (effectsVHash), and
 //                 entry-point bit, in definition order. An edit that
 //                 recomputes some summaries to unchanged values reuses the
 //                 folded lock order and race set wholesale.
@@ -60,10 +59,13 @@ import (
 // with \x00-separated tags; only leaf content (source slices, free-name
 // environments, component membership, SCC signatures) goes through SHA-256.
 //
-// Cached facts never store absolute source offsets: spans are encoded
-// relative to the top-level definition that contains them
-// (factstore.RelSpan) and rebased against the current parse on every hit,
-// so whitespace above a function does not invalidate anything.
+// Cached facts never store absolute source offsets, so whitespace above a
+// function invalidates nothing. Summaries (*FuncEffects) and the
+// whole-program fold (*Fold) are stored exactly as computed: the summary
+// builder records every span relative to its enclosing top-level definition
+// (factstore.RelSpan), and analyzers resolve spans only when they report.
+// Per-function finding bundles and bounds proofs hold absolute spans in
+// their live form, so they alone are converted on the way in and out.
 //
 // Whole-program analyzers (race, deadlock, ffi) re-run every time, but the
 // expensive substrate they stand on — points-to sets and bottom-up
@@ -176,20 +178,19 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 
 	// Probe the summary caches bottom-up. A miss anywhere in an SCC dirties
 	// the whole SCC (the fixpoint recomputes all members together) and pulls
-	// its members into the points-to slice. Hits stay in their compact
-	// cached form: decoding all of them would rebuild the whole program's
-	// effects every run, and aggregation can fold the cached form directly.
-	var effects map[string]*FuncEffects
-	cached := make([]*cachedEffects, len(funcs))
+	// its members into the points-to slice. A hit is the summary exactly as
+	// it was computed: its spans are definition-relative, so it needs no
+	// conversion however far its definition moved.
+	var sums []*FuncEffects // by function index
 	var dirtySCCs [][]string
 	if needSums {
-		effects = map[string]*FuncEffects{}
+		sums = make([]*FuncEffects, len(funcs))
 		for _, scc := range k.sccOrder {
 			missed := false
 			for _, m := range scc {
 				mi := k.fnIndex[m]
 				if v, ok := store.Get(k.sumKey[mi]); ok {
-					cached[mi] = v.(*cachedEffects)
+					sums[mi] = v.(*FuncEffects)
 				} else {
 					missed = true
 				}
@@ -201,9 +202,6 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 					ptsDirty[mi] = true
 					anyPtsDirty = true
 					cfgDirty[mi] = true
-					// The whole SCC is recomputed; a partial hit must not
-					// shadow the fresh result during aggregation.
-					cached[mi] = nil
 				}
 			}
 		}
@@ -249,41 +247,36 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 	}
 
 	// Recompute dirty SCC summaries bottom-up over the demand points-to
-	// slice. Only the direct out-of-SCC callees of dirty members need their
-	// clean effects decoded as the callee environment (a callee's finished
-	// summary already folds everything below it). Aggregation (lock-order
-	// union, entry-point race detection) is a cheap deterministic fold,
-	// re-run every time over the mixed fresh-and-cached effects set.
+	// slice. The builder sees only the direct out-of-SCC callees of dirty
+	// members (a callee's finished summary already folds everything below
+	// it), and computeSCC replaces every member, so a partial hit in a dirty
+	// SCC never shadows the fresh result. The whole-program fold is shared
+	// with Run; its output is a pure function of every summary's value, each
+	// function's entry-point status, and the definition order (which pins
+	// both the sorted lock-order fold and the entry walk), so it is cached
+	// under exactly those inputs. Most edits recompute a summary to the same
+	// value, and then the folded lock order and race set are reused whole.
 	var summaries *Summaries
 	if needSums {
 		if len(dirtySCCs) > 0 {
 			sb := newSummaryBuilder(info, k.cg, pts)
-			sb.effects = effects
 			for _, scc := range dirtySCCs {
 				for _, m := range scc {
 					for _, c := range k.cg.Callees[m] {
-						ci := k.fnIndex[c]
-						if effects[c] == nil && cached[ci] != nil {
-							effects[c] = decodeEffects(k.ix, c, cached[ci])
+						if sb.effects[c] == nil {
+							sb.effects[c] = sums[k.fnIndex[c]]
 						}
 					}
 				}
 				sb.computeSCC(scc)
 				for _, m := range scc {
 					mi := k.fnIndex[m]
-					enc := encodeEffects(k.ix, sb.effects[m])
-					store.Put(k.sumKey[mi], enc)
-					cached[mi] = enc
+					sums[mi] = sb.effects[m]
+					sums[mi].vhash = effectsVHash(sums[mi])
+					store.Put(k.sumKey[mi], sums[mi])
 				}
 			}
 		}
-		// Early cutoff for the whole-program aggregation. The fold's output
-		// is a pure function of every summary's value, each function's
-		// entry-point status, and the name-pinned fold order — all captured
-		// below in definition order (names pin both the sorted lock-order
-		// fold and the entry walk). Most edits recompute a summary to the
-		// same value, so the folded lock order and race set are reused
-		// wholesale instead of re-deduplicating every access in the program.
 		aggParts := make([]string, 1, 3*len(funcs)+1)
 		aggParts[0] = "agg"
 		for fi, fn := range funcs {
@@ -291,16 +284,15 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 			if !k.cg.CalledByOther[fn.Name] || fn.Name == "main" {
 				entry = "1"
 			}
-			aggParts = append(aggParts, fn.Name, cached[fi].VHash, entry)
+			aggParts = append(aggParts, fn.Name, sums[fi].vhash, entry)
 		}
 		aggKey := factstore.Hash(aggParts...)
-		if v, ok := store.Get(aggKey); ok {
-			summaries = decodeAgg(k, effects, v.(*cachedAgg))
-		} else {
-			summaries = aggregateStore(prog, k, effects, cached)
-			store.Put(aggKey, encodeAgg(k.ix, summaries))
+		fold, ok := store.Get(aggKey)
+		if !ok {
+			fold = aggregate(prog, k.cg, func(name string) *FuncEffects { return sums[k.fnIndex[name]] })
+			store.Put(aggKey, fold)
 		}
-		summaries.SCCOrder = k.sccOrder
+		summaries = &Summaries{Graph: k.cg, SCCOrder: k.sccOrder, Fold: fold.(*Fold), ix: k.ix}
 	}
 
 	execTasks(prog, info, cfgs, pts, summaries, pending, results, opts.Parallelism)
@@ -316,118 +308,6 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 		store.Put(missKey[fi], cb)
 	}
 	return assembleReport(prog, opts, selected, results), nil
-}
-
-// aggregateStore is aggregate over the cached effects forms (by this point
-// every function has one: probe hits stayed cached, dirty recomputes were
-// re-encoded). It must fold in exactly the order aggregate does — sorted
-// function names for ordering facts, definition order for entry points —
-// so a warm report is byte-identical to a cold one. A cached span decodes
-// to exactly the absolute span it was encoded from (factstore.RelSpan is a
-// lossless rebase), so folding the cached form of a just-computed summary
-// equals folding the summary itself.
-func aggregateStore(prog *ast.Program, k *progKeys,
-	effects map[string]*FuncEffects, cached []*cachedEffects) *Summaries {
-
-	s := &Summaries{
-		Graph:     k.cg,
-		Effects:   effects,
-		LockEdges: map[string]map[string]LockSite{},
-		LockSelf:  map[string]LockSite{},
-	}
-	for _, name := range k.cg.Names {
-		ce := cached[k.fnIndex[name]]
-		if ce == nil {
-			continue
-		}
-		if len(ce.Edges) > 0 {
-			for _, a := range sortedCachedEdgeKeys(ce.Edges) {
-				outs := ce.Edges[a]
-				for _, b := range sortedCachedKeys(outs) {
-					addEdgeSite(s.LockEdges, a, b, decodeSite(k.ix, outs[b]))
-				}
-			}
-		}
-		if len(ce.Self) > 0 {
-			for _, a := range sortedCachedKeys(ce.Self) {
-				if _, ok := s.LockSelf[a]; !ok {
-					s.LockSelf[a] = decodeSite(k.ix, ce.Self[a])
-				}
-			}
-		}
-	}
-
-	var accesses []concurrent.Access
-	seen := map[string]bool{}
-	for _, d := range prog.Defs {
-		fn, ok := d.(*ast.DefineFunc)
-		if !ok {
-			continue
-		}
-		if k.cg.CalledByOther[fn.Name] && fn.Name != "main" {
-			continue
-		}
-		ce := cached[k.fnIndex[fn.Name]]
-		if ce == nil {
-			continue
-		}
-		for _, ca := range ce.Accesses {
-			ac := decodeAccess(k.ix, ca)
-			if key := accessKey(ac); !seen[key] {
-				seen[key] = true
-				accesses = append(accesses, ac)
-			}
-		}
-	}
-	s.Races = concurrent.FindRaces(accesses)
-	s.SharedAccesses = accesses
-
-	foldAtomicFacts(s, k.cg.Names, func(name string) ([]AtomicSite, []EffectSite, []RetrySite) {
-		ce := cached[k.fnIndex[name]]
-		if ce == nil {
-			return nil, nil, nil
-		}
-		var atomics []AtomicSite
-		var irrev []EffectSite
-		var retries []RetrySite
-		for _, s := range ce.Atomics {
-			if s.Nested { // the fold only keeps nested sites
-				atomics = append(atomics, decodeAtomicSite(k.ix, s))
-			}
-		}
-		for _, s := range ce.Irrev {
-			if s.Atomic { // the fold only keeps atomic-context effects
-				irrev = append(irrev, decodeEffectSite(k.ix, s))
-			}
-		}
-		for _, s := range ce.Retries {
-			retries = append(retries, decodeRetrySite(k.ix, s))
-		}
-		return atomics, irrev, retries
-	})
-	return s
-}
-
-func decodeSite(ix *factstore.Index, s cachedSite) LockSite {
-	return LockSite{Lock: s.Lock, Span: ix.Abs(s.Span), Fn: s.Fn}
-}
-
-func sortedCachedKeys(m map[string]cachedSite) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedCachedEdgeKeys(m map[string]map[string]cachedSite) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -725,195 +605,43 @@ func sortDedup(ss []string) []string {
 	return out
 }
 
-// ---------------------------------------------------------------------------
-// Cached encodings (all spans relative, rebased on every decode)
-// ---------------------------------------------------------------------------
-
-type cachedSite struct {
-	Lock string
-	Span factstore.RelSpan
-	Fn   string
-}
-
-type cachedAccess struct {
-	Global  string
-	Field   string
-	Write   bool
-	Span    factstore.RelSpan
-	Func    string
-	Lockset []string
-	Spawned bool
-}
-
-type cachedAtomicSite struct {
-	Span   factstore.RelSpan
-	Fn     string
-	Nested bool
-}
-
-type cachedEffectSite struct {
-	Kind   string
-	Name   string
-	Span   factstore.RelSpan
-	Fn     string
-	Atomic bool
-}
-
-type cachedRetrySite struct {
-	Span factstore.RelSpan
-	Fn   string
-	Cond string
-}
-
-// cachedEffects is FuncEffects with relative spans.
-type cachedEffects struct {
-	Acquires map[string]cachedSite
-	Edges    map[string]map[string]cachedSite
-	Self     map[string]cachedSite
-	Accesses []cachedAccess
-	Atomics  []cachedAtomicSite
-	Irrev    []cachedEffectSite
-	Retries  []cachedRetrySite
-	// VHash is a content hash of the encoded value itself, not of its
-	// derivation: summaries recomputed to the same value share it across
-	// edits, which is what lets the aggregation early cutoff fire.
-	VHash string
-}
-
-func encodeSite(ix *factstore.Index, s LockSite) cachedSite {
-	return cachedSite{Lock: s.Lock, Span: ix.Rel(s.Span), Fn: s.Fn}
-}
-
-func encodeAccess(ix *factstore.Index, ac concurrent.Access) cachedAccess {
-	return cachedAccess{
-		Global: ac.Global, Field: ac.Field, Write: ac.Write,
-		Span: ix.Rel(ac.Span), Func: ac.Func,
-		Lockset: ac.Lockset, Spawned: ac.Spawned,
-	}
-}
-
-func decodeAccess(ix *factstore.Index, ca cachedAccess) concurrent.Access {
-	return concurrent.Access{
-		Global: ca.Global, Field: ca.Field, Write: ca.Write,
-		Span: ix.Abs(ca.Span), Func: ca.Func,
-		Lockset: ca.Lockset, Spawned: ca.Spawned,
-	}
-}
-
-func encodeAtomicSite(ix *factstore.Index, s AtomicSite) cachedAtomicSite {
-	return cachedAtomicSite{Span: ix.Rel(s.Span), Fn: s.Fn, Nested: s.Nested}
-}
-
-func decodeAtomicSite(ix *factstore.Index, s cachedAtomicSite) AtomicSite {
-	return AtomicSite{Span: ix.Abs(s.Span), Fn: s.Fn, Nested: s.Nested}
-}
-
-func encodeEffectSite(ix *factstore.Index, s EffectSite) cachedEffectSite {
-	return cachedEffectSite{Kind: s.Kind, Name: s.Name, Span: ix.Rel(s.Span), Fn: s.Fn, Atomic: s.Atomic}
-}
-
-func decodeEffectSite(ix *factstore.Index, s cachedEffectSite) EffectSite {
-	return EffectSite{Kind: s.Kind, Name: s.Name, Span: ix.Abs(s.Span), Fn: s.Fn, Atomic: s.Atomic}
-}
-
-func encodeRetrySite(ix *factstore.Index, s RetrySite) cachedRetrySite {
-	return cachedRetrySite{Span: ix.Rel(s.Span), Fn: s.Fn, Cond: s.Cond}
-}
-
-func decodeRetrySite(ix *factstore.Index, s cachedRetrySite) RetrySite {
-	return RetrySite{Span: ix.Abs(s.Span), Fn: s.Fn, Cond: s.Cond}
-}
-
-func encodeEffects(ix *factstore.Index, eff *FuncEffects) *cachedEffects {
-	// Maps are allocated only when non-empty (most functions acquire no
-	// locks); the decoder mirrors this, and every consumer of FuncEffects
-	// treats a nil map as empty.
-	ce := &cachedEffects{}
-	if len(eff.Acquires) > 0 {
-		ce.Acquires = make(map[string]cachedSite, len(eff.Acquires))
-		for l, s := range eff.Acquires {
-			ce.Acquires[l] = encodeSite(ix, s)
-		}
-	}
-	if len(eff.Edges) > 0 {
-		ce.Edges = make(map[string]map[string]cachedSite, len(eff.Edges))
-		for a, outs := range eff.Edges {
-			m := make(map[string]cachedSite, len(outs))
-			for b, s := range outs {
-				m[b] = encodeSite(ix, s)
-			}
-			ce.Edges[a] = m
-		}
-	}
-	if len(eff.Self) > 0 {
-		ce.Self = make(map[string]cachedSite, len(eff.Self))
-		for l, s := range eff.Self {
-			ce.Self[l] = encodeSite(ix, s)
-		}
-	}
-	if len(eff.Accesses) > 0 {
-		ce.Accesses = make([]cachedAccess, len(eff.Accesses))
-		for i, ac := range eff.Accesses {
-			ce.Accesses[i] = encodeAccess(ix, ac)
-		}
-	}
-	if len(eff.Atomics) > 0 {
-		ce.Atomics = make([]cachedAtomicSite, len(eff.Atomics))
-		for i, s := range eff.Atomics {
-			ce.Atomics[i] = encodeAtomicSite(ix, s)
-		}
-	}
-	if len(eff.Irrev) > 0 {
-		ce.Irrev = make([]cachedEffectSite, len(eff.Irrev))
-		for i, s := range eff.Irrev {
-			ce.Irrev[i] = encodeEffectSite(ix, s)
-		}
-	}
-	if len(eff.Retries) > 0 {
-		ce.Retries = make([]cachedRetrySite, len(eff.Retries))
-		for i, s := range eff.Retries {
-			ce.Retries[i] = encodeRetrySite(ix, s)
-		}
-	}
-	ce.VHash = effectsVHash(ce)
-	return ce
-}
-
-// effectsVHash hashes a cached summary's value under a tagged, length-
-// delimited serialisation (factstore.Hash delimits every part, the tags
-// separate the sections), with map sections in sorted key order so equal
-// values always hash equally.
-func effectsVHash(ce *cachedEffects) string {
-	parts := make([]string, 1, 8+8*len(ce.Accesses))
+// effectsVHash hashes a summary's value under a tagged, length-delimited
+// serialisation (factstore.Hash delimits every part, the tags separate the
+// sections), with map sections in sorted key order so equal values always
+// hash equally. Spans are definition-relative, so a summary recomputed to
+// the same value after an edit elsewhere hashes the same, which is what lets
+// the fold's early cutoff fire.
+func effectsVHash(eff *FuncEffects) string {
+	parts := make([]string, 1, 8+8*len(eff.Accesses))
 	parts[0] = "effv"
-	site := func(tag, key string, s cachedSite) {
+	site := func(tag, key string, s LockSite) {
 		parts = append(parts, tag, key, s.Lock, s.Fn, relStr(s.Span))
 	}
-	for _, l := range sortedCachedKeys(ce.Acquires) {
-		site("a", l, ce.Acquires[l])
+	for _, l := range sortedKeys(eff.Acquires) {
+		site("a", l, eff.Acquires[l])
 	}
-	for _, a := range sortedCachedEdgeKeys(ce.Edges) {
-		outs := ce.Edges[a]
-		for _, b := range sortedCachedKeys(outs) {
+	for _, a := range sortedEdgeKeys(eff.Edges) {
+		outs := eff.Edges[a]
+		for _, b := range sortedKeys(outs) {
 			site("e", a+"\x00"+b, outs[b])
 		}
 	}
-	for _, l := range sortedCachedKeys(ce.Self) {
-		site("s", l, ce.Self[l])
+	for _, l := range sortedKeys(eff.Self) {
+		site("s", l, eff.Self[l])
 	}
-	for _, ac := range ce.Accesses {
+	for _, ac := range eff.Accesses {
 		parts = append(parts, "c", ac.Global, ac.Field, bit(ac.Write),
 			relStr(ac.Span), ac.Func, strconv.Itoa(len(ac.Lockset)))
 		parts = append(parts, ac.Lockset...)
 		parts = append(parts, bit(ac.Spawned))
 	}
-	for _, s := range ce.Atomics {
+	for _, s := range eff.Atomics {
 		parts = append(parts, "t", relStr(s.Span), s.Fn, bit(s.Nested))
 	}
-	for _, s := range ce.Irrev {
+	for _, s := range eff.Irrev {
 		parts = append(parts, "i", s.Kind, s.Name, relStr(s.Span), s.Fn, bit(s.Atomic))
 	}
-	for _, s := range ce.Retries {
+	for _, s := range eff.Retries {
 		parts = append(parts, "r", relStr(s.Span), s.Fn, s.Cond)
 	}
 	return factstore.Hash(parts...)
@@ -928,190 +656,6 @@ func bit(b bool) string {
 		return "1"
 	}
 	return "0"
-}
-
-func decodeEffects(ix *factstore.Index, name string, ce *cachedEffects) *FuncEffects {
-	eff := &FuncEffects{Name: name}
-	if len(ce.Acquires) > 0 {
-		eff.Acquires = make(map[string]LockSite, len(ce.Acquires))
-		for l, s := range ce.Acquires {
-			eff.Acquires[l] = LockSite{Lock: s.Lock, Span: ix.Abs(s.Span), Fn: s.Fn}
-		}
-	}
-	if len(ce.Edges) > 0 {
-		eff.Edges = make(map[string]map[string]LockSite, len(ce.Edges))
-		for a, outs := range ce.Edges {
-			m := make(map[string]LockSite, len(outs))
-			for b, s := range outs {
-				m[b] = LockSite{Lock: s.Lock, Span: ix.Abs(s.Span), Fn: s.Fn}
-			}
-			eff.Edges[a] = m
-		}
-	}
-	if len(ce.Self) > 0 {
-		eff.Self = make(map[string]LockSite, len(ce.Self))
-		for l, s := range ce.Self {
-			eff.Self[l] = LockSite{Lock: s.Lock, Span: ix.Abs(s.Span), Fn: s.Fn}
-		}
-	}
-	if len(ce.Accesses) > 0 {
-		eff.Accesses = make([]concurrent.Access, len(ce.Accesses))
-		for i, ac := range ce.Accesses {
-			eff.Accesses[i] = decodeAccess(ix, ac)
-		}
-	}
-	if len(ce.Atomics) > 0 {
-		eff.Atomics = make([]AtomicSite, len(ce.Atomics))
-		for i, s := range ce.Atomics {
-			eff.Atomics[i] = decodeAtomicSite(ix, s)
-		}
-	}
-	if len(ce.Irrev) > 0 {
-		eff.Irrev = make([]EffectSite, len(ce.Irrev))
-		for i, s := range ce.Irrev {
-			eff.Irrev[i] = decodeEffectSite(ix, s)
-		}
-	}
-	if len(ce.Retries) > 0 {
-		eff.Retries = make([]RetrySite, len(ce.Retries))
-		for i, s := range ce.Retries {
-			eff.Retries[i] = decodeRetrySite(ix, s)
-		}
-	}
-	return eff
-}
-
-// cachedAgg is the folded output of aggregation: the program-wide lock
-// order, self-deadlock sites, and race set, with relative spans. It is
-// keyed by every function's summary VHash and entry status in definition
-// order, so one entry serves every edit that leaves all summary values
-// unchanged.
-type cachedAgg struct {
-	Edges   []cachedAggEdge
-	Self    []cachedAggSelf
-	Races   []cachedRace
-	Shared  []cachedAccess
-	Nested  []cachedAtomicSite
-	Effects []cachedEffectSite
-	Retries []cachedRetrySite
-}
-
-type cachedAggEdge struct {
-	A, B string
-	Site cachedSite
-}
-
-type cachedAggSelf struct {
-	Lock string
-	Site cachedSite
-}
-
-type cachedRace struct {
-	Location string
-	A, B     cachedAccess
-}
-
-func encodeAgg(ix *factstore.Index, s *Summaries) *cachedAgg {
-	ca := &cachedAgg{}
-	for _, a := range sortedEdgeKeys(s.LockEdges) {
-		outs := s.LockEdges[a]
-		for _, b := range sortedKeys(outs) {
-			ca.Edges = append(ca.Edges, cachedAggEdge{A: a, B: b, Site: encodeSite(ix, outs[b])})
-		}
-	}
-	for _, a := range sortedKeys(s.LockSelf) {
-		ca.Self = append(ca.Self, cachedAggSelf{Lock: a, Site: encodeSite(ix, s.LockSelf[a])})
-	}
-	if len(s.Races) > 0 {
-		ca.Races = make([]cachedRace, len(s.Races))
-		for i, r := range s.Races {
-			ca.Races[i] = cachedRace{
-				Location: r.Location,
-				A:        encodeAccess(ix, r.A),
-				B:        encodeAccess(ix, r.B),
-			}
-		}
-	}
-	if len(s.SharedAccesses) > 0 {
-		ca.Shared = make([]cachedAccess, len(s.SharedAccesses))
-		for i, ac := range s.SharedAccesses {
-			ca.Shared[i] = encodeAccess(ix, ac)
-		}
-	}
-	if len(s.NestedAtomics) > 0 {
-		ca.Nested = make([]cachedAtomicSite, len(s.NestedAtomics))
-		for i, a := range s.NestedAtomics {
-			ca.Nested[i] = encodeAtomicSite(ix, a)
-		}
-	}
-	if len(s.AtomicEffects) > 0 {
-		ca.Effects = make([]cachedEffectSite, len(s.AtomicEffects))
-		for i, e := range s.AtomicEffects {
-			ca.Effects[i] = encodeEffectSite(ix, e)
-		}
-	}
-	if len(s.RetryLoops) > 0 {
-		ca.Retries = make([]cachedRetrySite, len(s.RetryLoops))
-		for i, r := range s.RetryLoops {
-			ca.Retries[i] = encodeRetrySite(ix, r)
-		}
-	}
-	return ca
-}
-
-func decodeAgg(k *progKeys, effects map[string]*FuncEffects, ca *cachedAgg) *Summaries {
-	s := &Summaries{
-		Graph:     k.cg,
-		Effects:   effects,
-		LockEdges: map[string]map[string]LockSite{},
-		LockSelf:  map[string]LockSite{},
-	}
-	for _, e := range ca.Edges {
-		m := s.LockEdges[e.A]
-		if m == nil {
-			m = map[string]LockSite{}
-			s.LockEdges[e.A] = m
-		}
-		m[e.B] = decodeSite(k.ix, e.Site)
-	}
-	for _, e := range ca.Self {
-		s.LockSelf[e.Lock] = decodeSite(k.ix, e.Site)
-	}
-	if len(ca.Races) > 0 {
-		s.Races = make([]concurrent.Race, len(ca.Races))
-		for i, r := range ca.Races {
-			s.Races[i] = concurrent.Race{
-				Location: r.Location,
-				A:        decodeAccess(k.ix, r.A),
-				B:        decodeAccess(k.ix, r.B),
-			}
-		}
-	}
-	if len(ca.Shared) > 0 {
-		s.SharedAccesses = make([]concurrent.Access, len(ca.Shared))
-		for i, ac := range ca.Shared {
-			s.SharedAccesses[i] = decodeAccess(k.ix, ac)
-		}
-	}
-	if len(ca.Nested) > 0 {
-		s.NestedAtomics = make([]AtomicSite, len(ca.Nested))
-		for i, a := range ca.Nested {
-			s.NestedAtomics[i] = decodeAtomicSite(k.ix, a)
-		}
-	}
-	if len(ca.Effects) > 0 {
-		s.AtomicEffects = make([]EffectSite, len(ca.Effects))
-		for i, e := range ca.Effects {
-			s.AtomicEffects[i] = decodeEffectSite(k.ix, e)
-		}
-	}
-	if len(ca.Retries) > 0 {
-		s.RetryLoops = make([]RetrySite, len(ca.Retries))
-		for i, r := range ca.Retries {
-			s.RetryLoops[i] = decodeRetrySite(k.ix, r)
-		}
-	}
-	return s
 }
 
 // cachedBundle holds every bundled per-function analyzer's findings for one

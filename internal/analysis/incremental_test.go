@@ -330,3 +330,77 @@ func TestIncrementalNilStore(t *testing.T) {
 		t.Error("nil-store run differs from plain run")
 	}
 }
+
+// shiftSrc has race, ABBA lock-order, and atomicity findings in functions
+// below pad, the function TestIncrementalPositionShift lengthens.
+const shiftSrc = `(defstruct cell (v int64))
+(define counter cell (make cell :v 0))
+(define tally cell (make cell :v 0))
+(define (first) int64 7)
+(define (pad (n int64)) int64
+  (+ n 1))
+(define (bump) unit
+  (set-field! counter v (+ (field counter v) 1)))
+(define (ab) unit
+  (with-lock a (with-lock b (set-field! tally v 1))))
+(define (ba) unit
+  (with-lock b (with-lock a (set-field! tally v 2))))
+(define (txn) unit
+  (atomic (set-field! tally v (+ (field tally v) 1))))
+(define (noisy) unit
+  (atomic (println (field tally v))))
+(define (main) unit
+  (let ((t1 (spawn (bump))) (t2 (spawn (bump))))
+    (join t1) (join t2)
+    (println (+ (first) (pad 1)))))
+`
+
+// TestIncrementalPositionShift: edits that move the definitions holding
+// summary facts must leave a warm run equal to a cold one. Summaries and
+// the fold are stored as computed, with definition-relative spans, so a
+// pure shift is served entirely from the store and still reports at the
+// new positions; no cached summary is ever rebased by hand.
+func TestIncrementalPositionShift(t *testing.T) {
+	opts := analysis.Options{Parallelism: 1}
+	cold := func(src string) (*analysis.Report, string) {
+		prog, info := check(t, src)
+		rep, err := analysis.Run(prog, info, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, renderAll(t, rep)
+	}
+	rep, _ := cold(shiftSrc)
+	for _, code := range []string{
+		analysis.CodeRace, analysis.CodeLockOrder,
+		analysis.CodeAtomShared, analysis.CodeAtomEffect,
+	} {
+		if !hasCode(rep, code) {
+			t.Fatalf("fixture does not fire %s (got %v)", code, codesOf(rep))
+		}
+	}
+
+	store := factstore.New()
+	runStore(t, shiftSrc, opts, store)
+	commented := "; a comment above every definition\n" + shiftSrc
+	lengthened := strings.Replace(commented, "(+ n 1)", "(+ (* n 2)\n     1)", 1)
+	if lengthened == commented {
+		t.Fatal("edit did not apply")
+	}
+	for _, edit := range []struct {
+		name, src string
+		pure      bool // a pure shift: every fact must come from the store
+	}{
+		{"prepend comment", commented, true},
+		{"lengthen pad", lengthened, false},
+	} {
+		before := store.Stats()
+		_, warm := runStore(t, edit.src, opts, store)
+		if _, want := cold(edit.src); warm != want {
+			t.Errorf("%s: warm run differs from cold run:\ncold:\n%s\nwarm:\n%s", edit.name, want, warm)
+		}
+		if puts := store.Stats().Puts - before.Puts; edit.pure && puts != 0 {
+			t.Errorf("%s: a pure shift recomputed %d facts", edit.name, puts)
+		}
+	}
+}

@@ -35,3 +35,37 @@ func TestCorpusColdWarmSmoke(t *testing.T) {
 	st := store.Stats()
 	t.Logf("stats: %+v", st)
 }
+
+// TestParallelDrivers runs Run and RunWithStore on an 8-worker pool over a
+// corpus, cold and warm after an edit, against a sequential Run. Analyzers
+// running in parallel share each function's CFG and the whole-program
+// facts, so scripts/check.sh runs this test under -race as well.
+func TestParallelDrivers(t *testing.T) {
+	src := corpus.Text(400, 25)
+	seq := func(src string) string {
+		prog, info := check(t, src)
+		rep, err := analysis.Run(prog, info, analysis.Options{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderAll(t, rep)
+	}
+	want := seq(src)
+	par := analysis.Options{Parallelism: 8}
+	prog, info := check(t, src)
+	rep, err := analysis.Run(prog, info, par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renderAll(t, rep) != want {
+		t.Error("parallel Run differs from sequential Run")
+	}
+	store := factstore.New()
+	if _, cold := runStore(t, src, par, store); cold != want {
+		t.Error("parallel cold RunWithStore differs from sequential Run")
+	}
+	edited := corpus.EditOne(src, 137)
+	if _, warm := runStore(t, edited, par, store); warm != seq(edited) {
+		t.Error("parallel warm RunWithStore after an edit differs from sequential Run")
+	}
+}

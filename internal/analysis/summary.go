@@ -1,12 +1,14 @@
 package analysis
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"bitc/internal/ast"
-	"bitc/internal/concurrent"
+	"bitc/internal/factstore"
 	"bitc/internal/pointsto"
 	"bitc/internal/source"
 	"bitc/internal/types"
@@ -28,10 +30,18 @@ import (
 // old syntactic walks needed: a race or an ABBA inversion through any chain
 // of helpers is visible.
 
+// Every site a summary records carries a factstore.RelSpan: a span relative
+// to the top-level definition that lexically contains it, fixed when the
+// builder walks that definition. A summary's value therefore does not
+// depend on where its definitions sit in the file, so the incremental driver
+// stores summaries and the whole-program fold exactly as computed and
+// reuses them after edits that only shift code. Analyzers resolve a site to
+// an absolute span (Pass.Abs) only when they report it.
+
 // LockSite is the first program point where a lock event was observed.
 type LockSite struct {
 	Lock string
-	Span source.Span
+	Span factstore.RelSpan
 	Fn   string // function lexically containing the event
 }
 
@@ -39,7 +49,7 @@ type LockSite struct {
 // marks a site reachable while another atomic region is already open —
 // directly, or through any chain of calls.
 type AtomicSite struct {
-	Span   source.Span
+	Span   factstore.RelSpan
 	Fn     string // function lexically containing the atomic form
 	Nested bool
 }
@@ -52,7 +62,7 @@ type AtomicSite struct {
 type EffectSite struct {
 	Kind   string // "extern", "io", "send", "recv", "spawn", "join"
 	Name   string // callee or builtin name
-	Span   source.Span
+	Span   factstore.RelSpan
 	Fn     string // function lexically containing the effect
 	Atomic bool
 }
@@ -63,14 +73,13 @@ type EffectSite struct {
 // retries — the unbounded-livelock shape the 2PC coordinator's bounded
 // backoff exists to avoid.
 type RetrySite struct {
-	Span source.Span
+	Span factstore.RelSpan
 	Fn   string
 	Cond string // the shared location ("global.field") the loop re-reads
 }
 
 // FuncEffects is one function's summary.
 type FuncEffects struct {
-	Name string
 	// Acquires maps each lock the function may acquire (directly or through
 	// callees) to its first acquisition site.
 	Acquires map[string]LockSite
@@ -81,7 +90,7 @@ type FuncEffects struct {
 	// Accesses are the shared-global accesses, with locksets relative to
 	// function entry (entered with no locks held). Accesses under a spawn
 	// keep their own locksets when instantiated at call sites.
-	Accesses []concurrent.Access
+	Accesses []Access
 	// Atomics are the atomic-region entries this function may perform,
 	// directly or through callees.
 	Atomics []AtomicSite
@@ -90,17 +99,19 @@ type FuncEffects struct {
 	Irrev []EffectSite
 	// Retries are atomic entries under unbounded shared-state retry loops.
 	Retries []RetrySite
+
+	// vhash is the incremental driver's content hash of this value (see
+	// effectsVHash), set before the summary enters the fact store.
+	vhash string
 }
 
-// Summaries is the whole-program summary set plus the derived whole-program
-// results the interprocedural checkers consume.
-type Summaries struct {
-	Graph   *CallGraph
-	Effects map[string]*FuncEffects
-	// SCCOrder is the bottom-up order summaries were computed in.
-	SCCOrder [][]string
+// Fold is the whole-program view derived from every function's summary:
+// the facts the interprocedural checkers consume. It is a pure function of
+// the summaries' values, the entry points, and the definition order, so the
+// incremental driver caches it whole.
+type Fold struct {
 	// Races are the conflicting access pairs reachable from entry points.
-	Races []concurrent.Race
+	Races []Race
 	// LockEdges and LockSelf are the union of every function's ordering
 	// edges and re-acquisitions (every function is a potential entry for
 	// ordering purposes).
@@ -109,14 +120,26 @@ type Summaries struct {
 	// SharedAccesses are the entry-reachable shared accesses Races was
 	// derived from — the atomicity checker's view of which locations are
 	// STM-managed and which mutations bypass the transactions.
-	SharedAccesses []concurrent.Access
+	SharedAccesses []Access
 	// NestedAtomics, AtomicEffects, and RetryLoops are the union over every
 	// function (any function is a potential entry) of nested atomic entries,
 	// irreversible effects reachable inside an atomic region, and atomics
-	// under unbounded shared-state retry loops.
+	// under unbounded shared-state retry loops, each deduplicated and sorted
+	// by site.
 	NestedAtomics []AtomicSite
 	AtomicEffects []EffectSite
 	RetryLoops    []RetrySite
+}
+
+// Summaries is the whole-program fold the interprocedural checkers consume,
+// with the call graph the per-function summaries were computed over.
+type Summaries struct {
+	Graph *CallGraph
+	// SCCOrder is the bottom-up order summaries were computed in.
+	SCCOrder [][]string
+	*Fold
+	// ix resolves the facts' relative spans against the current parse.
+	ix *factstore.Index
 }
 
 // ComputeSummaries builds every function's effects bottom-up and derives the
@@ -132,18 +155,17 @@ func ComputeSummaries(prog *ast.Program, info *types.Info, pts *pointsto.Result)
 	for _, scc := range order {
 		sb.computeSCC(scc)
 	}
-	s := aggregate(prog, cg, sb.effects)
-	s.SCCOrder = order
-	return s
+	fold := aggregate(prog, cg, func(name string) *FuncEffects { return sb.effects[name] })
+	return &Summaries{Graph: cg, SCCOrder: order, Fold: fold, ix: factstore.NewIndex(prog)}
 }
 
 // computeSCC (re)computes the effects of one strongly connected component,
 // iterating its members to a fixpoint. Callee SCCs must already be present
-// in sb.effects — either computed earlier in bottom-up order or preloaded
-// from a cache by the incremental driver.
+// in sb.effects — either computed earlier in bottom-up order or taken from
+// the fact store by the incremental driver.
 func (sb *summaryBuilder) computeSCC(scc []string) {
 	for _, name := range scc {
-		sb.effects[name] = newEffects(name)
+		sb.effects[name] = newEffects()
 	}
 	for {
 		changed := false
@@ -158,15 +180,33 @@ func (sb *summaryBuilder) computeSCC(scc []string) {
 			break
 		}
 	}
+	// The incremental driver keeps summaries in its fact store, so each one
+	// holds only what it records: no empty maps (most functions acquire no
+	// locks, and readers treat a nil map as empty) and no spare capacity.
+	for _, name := range scc {
+		eff := sb.effects[name]
+		if len(eff.Acquires) == 0 {
+			eff.Acquires = nil
+		}
+		if len(eff.Edges) == 0 {
+			eff.Edges = nil
+		}
+		if len(eff.Self) == 0 {
+			eff.Self = nil
+		}
+		eff.Accesses = append([]Access(nil), eff.Accesses...)
+		eff.Atomics = append([]AtomicSite(nil), eff.Atomics...)
+		eff.Irrev = append([]EffectSite(nil), eff.Irrev...)
+		eff.Retries = append([]RetrySite(nil), eff.Retries...)
+	}
 }
 
-// aggregate derives the whole-program facts from a complete effects set.
-// It is a pure, deterministic fold: the incremental driver re-runs it every
-// analysis over a mix of cached and freshly computed effects.
-func aggregate(prog *ast.Program, cg *CallGraph, effects map[string]*FuncEffects) *Summaries {
-	s := &Summaries{
-		Graph:     cg,
-		Effects:   effects,
+// aggregate derives the whole-program facts from every function's summary,
+// which effects looks up by name. It is a pure, deterministic fold that both
+// drivers share, and like the summaries its result does not depend on where
+// the definitions sit in the file.
+func aggregate(prog *ast.Program, cg *CallGraph, effects func(name string) *FuncEffects) *Fold {
+	f := &Fold{
 		LockEdges: map[string]map[string]LockSite{},
 		LockSelf:  map[string]LockSite{},
 	}
@@ -174,23 +214,22 @@ func aggregate(prog *ast.Program, cg *CallGraph, effects map[string]*FuncEffects
 	// Ordering facts: union over all functions, first site wins, functions
 	// visited in sorted name order for determinism.
 	for _, name := range cg.Names {
-		eff := effects[name]
+		eff := effects(name)
 		for _, a := range sortedEdgeKeys(eff.Edges) {
 			outs := eff.Edges[a]
 			for _, b := range sortedKeys(outs) {
-				addEdgeSite(s.LockEdges, a, b, outs[b])
+				addEdgeSite(f.LockEdges, a, b, outs[b])
 			}
 		}
 		for _, a := range sortedKeys(eff.Self) {
-			if _, ok := s.LockSelf[a]; !ok {
-				s.LockSelf[a] = eff.Self[a]
+			if _, ok := f.LockSelf[a]; !ok {
+				f.LockSelf[a] = eff.Self[a]
 			}
 		}
 	}
 
 	// Races: accesses reachable from entry points (functions nothing else
 	// calls, plus main), deduplicated across entries.
-	var accesses []concurrent.Access
 	seen := map[string]bool{}
 	for _, d := range prog.Defs {
 		fn, ok := d.(*ast.DefineFunc)
@@ -200,86 +239,52 @@ func aggregate(prog *ast.Program, cg *CallGraph, effects map[string]*FuncEffects
 		if cg.CalledByOther[fn.Name] && fn.Name != "main" {
 			continue
 		}
-		for _, ac := range effects[fn.Name].Accesses {
+		for _, ac := range effects(fn.Name).Accesses {
 			k := accessKey(ac)
 			if !seen[k] {
 				seen[k] = true
-				accesses = append(accesses, ac)
+				f.SharedAccesses = append(f.SharedAccesses, ac)
 			}
 		}
 	}
-	s.Races = concurrent.FindRaces(accesses)
-	s.SharedAccesses = accesses
+	f.Races = FindRaces(f.SharedAccesses)
 
-	foldAtomicFacts(s, cg.Names, func(name string) ([]AtomicSite, []EffectSite, []RetrySite) {
-		eff := effects[name]
-		return eff.Atomics, eff.Irrev, eff.Retries
-	})
-	return s
-}
-
-// foldAtomicFacts unions the transaction-safety facts of every function into
-// the whole-program view: nested atomic entries, irreversible effects inside
-// atomic regions, and unbounded-retry sites. Instantiation copies a callee's
-// sites into each caller's summary, so the same site reappears across the
-// call chain; the fold deduplicates by site identity and sorts for a
-// deterministic report. Both the cold aggregate and the incremental
-// aggregateStore funnel through here so warm output stays byte-identical.
-func foldAtomicFacts(s *Summaries, names []string,
-	facts func(name string) ([]AtomicSite, []EffectSite, []RetrySite)) {
-
-	seen := map[string]bool{}
-	for _, name := range names {
-		atomics, irrev, retries := facts(name)
-		for _, a := range atomics {
-			if !a.Nested {
-				continue
-			}
-			if k := "n|" + atomicKey(a); !seen[k] {
+	// Transaction-safety facts. Instantiation copies a callee's sites into
+	// each caller's summary, so the same site reappears across the call
+	// chain; the fold deduplicates by site identity and sorts by site for a
+	// deterministic report.
+	seen = map[string]bool{}
+	for _, name := range cg.Names {
+		eff := effects(name)
+		for _, a := range eff.Atomics {
+			if k := "n|" + atomicKey(a); a.Nested && !seen[k] {
 				seen[k] = true
-				s.NestedAtomics = append(s.NestedAtomics, a)
+				f.NestedAtomics = append(f.NestedAtomics, a)
 			}
 		}
-		for _, e := range irrev {
-			if !e.Atomic {
-				continue
-			}
-			if k := "e|" + effectKey(e); !seen[k] {
+		for _, e := range eff.Irrev {
+			if k := "e|" + effectKey(e); e.Atomic && !seen[k] {
 				seen[k] = true
-				s.AtomicEffects = append(s.AtomicEffects, e)
+				f.AtomicEffects = append(f.AtomicEffects, e)
 			}
 		}
-		for _, r := range retries {
+		for _, r := range eff.Retries {
 			if k := "r|" + retryKey(r); !seen[k] {
 				seen[k] = true
-				s.RetryLoops = append(s.RetryLoops, r)
+				f.RetryLoops = append(f.RetryLoops, r)
 			}
 		}
 	}
-	sort.Slice(s.NestedAtomics, func(i, j int) bool {
-		a, b := s.NestedAtomics[i], s.NestedAtomics[j]
-		if a.Span.Start != b.Span.Start {
-			return a.Span.Start < b.Span.Start
-		}
-		return a.Fn < b.Fn
+	slices.SortFunc(f.NestedAtomics, func(a, b AtomicSite) int {
+		return cmp.Or(cmpSite(a.Span, b.Span), strings.Compare(a.Fn, b.Fn))
 	})
-	sort.Slice(s.AtomicEffects, func(i, j int) bool {
-		a, b := s.AtomicEffects[i], s.AtomicEffects[j]
-		if a.Span.Start != b.Span.Start {
-			return a.Span.Start < b.Span.Start
-		}
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return a.Fn < b.Fn
+	slices.SortFunc(f.AtomicEffects, func(a, b EffectSite) int {
+		return cmp.Or(cmpSite(a.Span, b.Span), strings.Compare(a.Name, b.Name), strings.Compare(a.Fn, b.Fn))
 	})
-	sort.Slice(s.RetryLoops, func(i, j int) bool {
-		a, b := s.RetryLoops[i], s.RetryLoops[j]
-		if a.Span.Start != b.Span.Start {
-			return a.Span.Start < b.Span.Start
-		}
-		return a.Fn < b.Fn
+	slices.SortFunc(f.RetryLoops, func(a, b RetrySite) int {
+		return cmp.Or(cmpSite(a.Span, b.Span), strings.Compare(a.Fn, b.Fn))
 	})
+	return f
 }
 
 func sortedEdgeKeys(m map[string]map[string]LockSite) []string {
@@ -323,9 +328,8 @@ func newSummaryBuilder(info *types.Info, cg *CallGraph, pts *pointsto.Result) *s
 	return sb
 }
 
-func newEffects(name string) *FuncEffects {
+func newEffects() *FuncEffects {
 	return &FuncEffects{
-		Name:     name,
 		Acquires: map[string]LockSite{},
 		Edges:    map[string]map[string]LockSite{},
 		Self:     map[string]LockSite{},
@@ -334,10 +338,12 @@ func newEffects(name string) *FuncEffects {
 
 // walkCtx is the state threaded through one function-body walk.
 type walkCtx struct {
-	fn       string   // function being summarised (lock-site attribution)
-	accessFn string   // access attribution ($spawn suffix inside spawn exprs)
-	order    []string // real locks held, no duplicates (ordering facts)
-	held     []string // locks held incl. "atomic" and re-acquisitions (locksets)
+	fn       string      // function being summarised (lock-site attribution)
+	owner    string      // fn's definition key, the owner of every span recorded
+	def      source.Span // fn's definition span
+	accessFn string      // access attribution ($spawn suffix inside spawn exprs)
+	order    []string    // real locks held, no duplicates (ordering facts)
+	held     []string    // locks held incl. "atomic" and re-acquisitions (locksets)
 	spawned  bool
 	atomic   bool            // inside an atomic region relative to function entry
 	retry    string          // non-empty: inside a shared-state retry loop on this location
@@ -351,9 +357,11 @@ type walkCtx struct {
 func (sb *summaryBuilder) computeOne(fn *ast.DefineFunc) *FuncEffects {
 	ctx := &walkCtx{
 		fn:       fn.Name,
+		owner:    factstore.DefKey(fn),
+		def:      fn.Span(),
 		accessFn: fn.Name,
 		seen:     map[string]bool{},
-		eff:      newEffects(fn.Name),
+		eff:      newEffects(),
 	}
 	for _, e := range fn.Body {
 		sb.walk(e, ctx)
@@ -361,10 +369,15 @@ func (sb *summaryBuilder) computeOne(fn *ast.DefineFunc) *FuncEffects {
 	return ctx.eff
 }
 
+// rel records a span of the walked function's body relative to it.
+func (ctx *walkCtx) rel(sp source.Span) factstore.RelSpan {
+	return factstore.RelTo(ctx.owner, ctx.def, sp)
+}
+
 func (sb *summaryBuilder) walk(e ast.Expr, ctx *walkCtx) {
 	switch e := e.(type) {
 	case *ast.WithLock:
-		site := LockSite{Lock: e.Lock, Span: e.Span(), Fn: ctx.fn}
+		site := LockSite{Lock: e.Lock, Span: ctx.rel(e.Span()), Fn: ctx.fn}
 		reacquired := false
 		for _, h := range ctx.order {
 			if h == e.Lock {
@@ -387,9 +400,9 @@ func (sb *summaryBuilder) walk(e ast.Expr, ctx *walkCtx) {
 	case *ast.Atomic:
 		// STM serialises with every other atomic block: model as a single
 		// pseudo-lock "atomic" in locksets, invisible to lock ordering.
-		sb.addAtomic(ctx, AtomicSite{Span: e.Span(), Fn: ctx.fn, Nested: ctx.atomic})
+		sb.addAtomic(ctx, AtomicSite{Span: ctx.rel(e.Span()), Fn: ctx.fn, Nested: ctx.atomic})
 		if ctx.retry != "" {
-			sb.addRetry(ctx, RetrySite{Span: e.Span(), Fn: ctx.fn, Cond: ctx.retry})
+			sb.addRetry(ctx, RetrySite{Span: ctx.rel(e.Span()), Fn: ctx.fn, Cond: ctx.retry})
 		}
 		inner := *ctx
 		inner.held = append(append([]string{}, ctx.held...), "atomic")
@@ -422,7 +435,7 @@ func (sb *summaryBuilder) walk(e ast.Expr, ctx *walkCtx) {
 		// atomic region is itself an irreversible effect (the VM traps).
 		if ctx.atomic {
 			sb.addIrrev(ctx, EffectSite{
-				Kind: "spawn", Name: "spawn", Span: e.Span(), Fn: ctx.fn, Atomic: true,
+				Kind: "spawn", Name: "spawn", Span: ctx.rel(e.Span()), Fn: ctx.fn, Atomic: true,
 			})
 		}
 		inner := *ctx
@@ -453,7 +466,7 @@ func (sb *summaryBuilder) walk(e ast.Expr, ctx *walkCtx) {
 				sb.instantiate(ctx, v.Name)
 			} else if kind := sb.effectKind(v.Name); kind != "" {
 				sb.addIrrev(ctx, EffectSite{
-					Kind: kind, Name: v.Name, Span: e.Span(), Fn: ctx.fn, Atomic: ctx.atomic,
+					Kind: kind, Name: v.Name, Span: ctx.rel(e.Span()), Fn: ctx.fn, Atomic: ctx.atomic,
 				})
 			}
 		}
@@ -537,13 +550,13 @@ func (sb *summaryBuilder) instantiate(ctx *walkCtx, callee string) {
 func (sb *summaryBuilder) record(ctx *walkCtx, global, field string, write bool, span source.Span) {
 	ls := append([]string{}, ctx.held...)
 	sort.Strings(ls)
-	sb.append(ctx, concurrent.Access{
-		Global: global, Field: field, Write: write, Span: span,
+	sb.append(ctx, Access{
+		Global: global, Field: field, Write: write, Span: ctx.rel(span),
 		Func: ctx.accessFn, Lockset: ls, Spawned: ctx.spawned,
 	})
 }
 
-func (sb *summaryBuilder) append(ctx *walkCtx, ac concurrent.Access) {
+func (sb *summaryBuilder) append(ctx *walkCtx, ac Access) {
 	k := accessKey(ac)
 	if ctx.seen[k] {
 		return
@@ -659,9 +672,9 @@ func (sb *summaryBuilder) sharedTargets(e ast.Expr) []string {
 	return out
 }
 
-func accessKey(ac concurrent.Access) string {
+func accessKey(ac Access) string {
 	var b strings.Builder
-	b.Grow(len(ac.Global) + len(ac.Field) + len(ac.Func) + 24)
+	b.Grow(len(ac.Global) + len(ac.Field) + len(ac.Func) + len(ac.Span.Owner) + 24)
 	b.WriteString(ac.Global)
 	b.WriteByte('.')
 	b.WriteString(ac.Field)
@@ -681,12 +694,24 @@ func accessKey(ac concurrent.Access) string {
 		b.WriteString("|s")
 	}
 	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(int(ac.Span.Start)))
+	b.WriteString(ac.Span.Owner)
+	b.WriteByte('@')
+	b.WriteString(strconv.Itoa(ac.Span.Start))
 	return b.String()
 }
 
+// siteKey identifies a recorded site by its owner and relative start.
+func siteKey(r factstore.RelSpan) string {
+	return r.Owner + "@" + strconv.Itoa(r.Start)
+}
+
+// cmpSite orders recorded sites by owner, then relative start.
+func cmpSite(a, b factstore.RelSpan) int {
+	return cmp.Or(strings.Compare(a.Owner, b.Owner), cmp.Compare(a.Start, b.Start))
+}
+
 func atomicKey(s AtomicSite) string {
-	k := strconv.Itoa(int(s.Span.Start)) + "|" + s.Fn
+	k := siteKey(s.Span) + "|" + s.Fn
 	if s.Nested {
 		k += "|n"
 	}
@@ -694,7 +719,7 @@ func atomicKey(s AtomicSite) string {
 }
 
 func effectKey(s EffectSite) string {
-	k := s.Kind + "|" + s.Name + "|" + strconv.Itoa(int(s.Span.Start)) + "|" + s.Fn
+	k := s.Kind + "|" + s.Name + "|" + siteKey(s.Span) + "|" + s.Fn
 	if s.Atomic {
 		k += "|a"
 	}
@@ -702,7 +727,7 @@ func effectKey(s EffectSite) string {
 }
 
 func retryKey(s RetrySite) string {
-	return strconv.Itoa(int(s.Span.Start)) + "|" + s.Fn + "|" + s.Cond
+	return siteKey(s.Span) + "|" + s.Fn + "|" + s.Cond
 }
 
 func mergeLocksets(a, b []string) []string {

@@ -196,7 +196,7 @@ func TestE8InvariantStory(t *testing.T) {
 	static := tables[1]
 	races := map[string]string{}
 	for _, row := range static.Rows {
-		races[row[0]] = row[2]
+		races[row[0]] = row[1]
 	}
 	if races["none"] == "0" {
 		t.Error("static analysis missed the unsynchronised race")

@@ -14,14 +14,12 @@ import (
 	"bitc/internal/analysis"
 	"bitc/internal/ast"
 	"bitc/internal/compiler"
-	"bitc/internal/concurrent"
 	"bitc/internal/factstore"
 	"bitc/internal/ir"
 	"bitc/internal/layout"
 	"bitc/internal/obs"
 	"bitc/internal/opt"
 	"bitc/internal/parser"
-	"bitc/internal/regions"
 	"bitc/internal/types"
 	"bitc/internal/verify"
 	"bitc/internal/vm"
@@ -103,8 +101,7 @@ func Load(name, src string, cfg Config) (*Program, error) {
 // LoadAnalysis parses and type-checks source text without compiling it —
 // the front half of Load, for tools that only run the static analyzers
 // (bitc analyze, the watch daemon). Module and Opt are nil on the result;
-// only Analyze/AnalyzeWithStore, Verify, CheckRegions, Races, and LayoutOf
-// are usable.
+// only Analyze/AnalyzeWithStore, Verify, and LayoutOf are usable.
 func LoadAnalysis(name, src string) (*Program, error) {
 	prog, diags := parser.Parse(name, src)
 	if err := diags.ErrOrNil(); err != nil {
@@ -178,16 +175,6 @@ func (p *Program) Analyze(opts analysis.Options) (*analysis.Report, error) {
 // Analyze.
 func (p *Program) AnalyzeWithStore(opts analysis.Options, store *factstore.Store) (*analysis.Report, error) {
 	return analysis.RunWithStore(p.AST, p.Info, opts, store)
-}
-
-// CheckRegions runs the static region-escape analysis.
-func (p *Program) CheckRegions() []regions.Escape {
-	return regions.Check(p.AST, p.Info)
-}
-
-// Races runs the lockset race analysis.
-func (p *Program) Races() *concurrent.Report {
-	return concurrent.Analyze(p.AST, p.Info)
 }
 
 // LayoutOf computes the layout of a named struct under a representation mode.

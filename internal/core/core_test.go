@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bitc/internal/analysis"
 	"bitc/internal/core"
 	"bitc/internal/layout"
 	"bitc/internal/verify"
@@ -101,15 +102,31 @@ func TestAnalysesThroughFacade(t *testing.T) {
 	  (define (main) unit
 	    (let ((t1 (spawn (w))) (t2 (spawn (w))))
 	      (join t1) (join t2)))`, core.DefaultConfig)
-	if races := p.Races(); len(races.Races) == 0 {
+	if !reports(t, p, "race", analysis.CodeRace) {
 		t.Error("race not found through facade")
 	}
 	p2 := core.MustLoad("s", `
 	  (defstruct msg (v int64))
 	  (define (leak) msg (with-region r (alloc-in r (make msg :v 1))))`, core.DefaultConfig)
-	if esc := p2.CheckRegions(); len(esc) == 0 {
+	if !reports(t, p2, "escape", analysis.CodeEscape) {
 		t.Error("escape not found through facade")
 	}
+}
+
+// reports runs one analyzer through the facade and says whether it
+// reported code.
+func reports(t *testing.T, p *core.Program, analyzer, code string) bool {
+	t.Helper()
+	rep, err := p.Analyze(analysis.Options{Enable: []string{analyzer}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range rep.Findings {
+		if f.Code == code {
+			return true
+		}
+	}
+	return false
 }
 
 func TestDumpIR(t *testing.T) {

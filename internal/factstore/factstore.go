@@ -13,7 +13,7 @@
 // Spans inside cached facts are stored relative to the top-level
 // definition that contains them (RelSpan), so a fact survives edits that
 // merely shift its definition within the file; the Index of the current
-// parse rebases them to absolute offsets on the way out.
+// parse rebases them to absolute offsets where a consumer needs them.
 package factstore
 
 import (
@@ -279,6 +279,16 @@ func (ix *Index) Rel(sp source.Span) RelSpan {
 		return RelSpan{Owner: o.owner, Start: int(sp.Start) - o.start, End: int(sp.End) - o.start}
 	}
 	return RelSpan{Start: int(sp.Start), End: int(sp.End)}
+}
+
+// RelTo expresses sp relative to the definition owner, whose span is def:
+// what Rel returns when that definition contains sp, without the lookup. A
+// summary builder walking one definition's body records its spans this way.
+func RelTo(owner string, def, sp source.Span) RelSpan {
+	if !sp.IsValid() || !def.IsValid() || sp.Start < def.Start || sp.End > def.End {
+		return RelSpan{Start: int(sp.Start), End: int(sp.End)}
+	}
+	return RelSpan{Owner: owner, Start: int(sp.Start - def.Start), End: int(sp.End - def.Start)}
 }
 
 // Abs rebases a RelSpan against the current parse. Rebasing a span whose

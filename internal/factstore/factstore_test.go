@@ -143,6 +143,15 @@ func TestRelAbsRoundTrip(t *testing.T) {
 	if rel.Owner != "f:norm" {
 		t.Fatalf("owner = %q; want f:norm", rel.Owner)
 	}
+	// RelTo, given the containing definition, agrees with the lookup; a span
+	// outside that definition stays absolute.
+	if got := RelTo("f:norm", norm.Span, inner); got != rel {
+		t.Fatalf("RelTo = %+v; want %+v", got, rel)
+	}
+	outside := source.Span{Start: norm.Span.End + 1, End: norm.Span.End + 2}
+	if got := RelTo("f:norm", norm.Span, outside); got.Owner != "" || base.Abs(got) != outside {
+		t.Fatalf("RelTo outside its definition = %+v", got)
+	}
 	// Rebase against the shifted parse: same relative offsets, new absolute.
 	abs := shifted.Abs(rel)
 	snorm, _ := shifted.Def("f:norm")

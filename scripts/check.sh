@@ -143,6 +143,11 @@ rm -rf "$d1" "$d2" /tmp/bitc-bench-check
 # coordinators) with VM green threads — hold it to the race detector.
 go test -race -count=1 ./internal/serve/...
 
+# The analysis drivers run analyzers on a worker pool that share each
+# function's CFG and the whole-program facts — hold both drivers, cold and
+# warm, to the race detector too.
+go test -race -count=1 -run TestParallelDrivers ./internal/analysis
+
 rm -f "$current" /tmp/bitc-check
 
 # Incremental scale gate: on the synthetic ~100k-function corpus, (1) a warm
