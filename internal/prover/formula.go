@@ -6,93 +6,116 @@
 package prover
 
 import (
-	"fmt"
-	"sort"
+	"strconv"
 	"strings"
 )
 
-// Term is a linear integer term: Const + Σ Coeffs[v]·v.
+// Term is a linear integer term: Const + Σ c·v over its coefficient vector.
+// The vector is sorted by variable name and holds no zero coefficients, so a
+// term has exactly one representation. Terms are values: no operation
+// writes to a vector after building it, so results may share one.
 type Term struct {
-	Const  int64
-	Coeffs map[string]int64
+	Const int64
+	vec   []monomial
+}
+
+// monomial is one entry c·name of a term's coefficient vector.
+type monomial struct {
+	name string
+	c    int64
 }
 
 // NewTerm builds a constant term.
-func NewTerm(c int64) Term {
-	return Term{Const: c, Coeffs: map[string]int64{}}
-}
+func NewTerm(c int64) Term { return Term{Const: c} }
 
 // VarTerm builds the term 1·name.
 func VarTerm(name string) Term {
-	return Term{Coeffs: map[string]int64{name: 1}}
+	return Term{vec: []monomial{{name, 1}}}
 }
 
-// clone copies t.
-func (t Term) clone() Term {
-	c := Term{Const: t.Const, Coeffs: make(map[string]int64, len(t.Coeffs))}
-	for k, v := range t.Coeffs {
-		c.Coeffs[k] = v
+// Coeff returns the coefficient of name in t (0 when absent).
+func (t Term) Coeff(name string) int64 {
+	for _, m := range t.vec {
+		if m.name == name {
+			return m.c
+		}
 	}
-	return c
+	return 0
 }
 
 // Add returns t + u.
-func (t Term) Add(u Term) Term {
-	r := t.clone()
-	r.Const += u.Const
-	for k, v := range u.Coeffs {
-		r.Coeffs[k] += v
-		if r.Coeffs[k] == 0 {
-			delete(r.Coeffs, k)
-		}
+func (t Term) Add(u Term) Term { return combine(1, t, 1, u) }
+
+// Sub returns t - u.
+func (t Term) Sub(u Term) Term { return combine(1, t, -1, u) }
+
+// Scale returns k·t.
+func (t Term) Scale(k int64) Term {
+	switch k {
+	case 0:
+		return NewTerm(0)
+	case 1:
+		return t
+	}
+	r := Term{Const: t.Const * k, vec: make([]monomial, len(t.vec))}
+	for i, m := range t.vec {
+		r.vec[i] = monomial{m.name, m.c * k}
 	}
 	return r
 }
 
-// Sub returns t - u.
-func (t Term) Sub(u Term) Term { return t.Add(u.Scale(-1)) }
-
-// Scale returns k·t.
-func (t Term) Scale(k int64) Term {
-	r := Term{Const: t.Const * k, Coeffs: make(map[string]int64, len(t.Coeffs))}
-	if k == 0 {
-		return NewTerm(0)
+// combine returns a·t + b·u by one merge of the two sorted vectors,
+// dropping the coefficients that cancel.
+func combine(a int64, t Term, b int64, u Term) Term {
+	r := Term{Const: a*t.Const + b*u.Const}
+	if len(t.vec)+len(u.vec) == 0 {
+		return r
 	}
-	for name, c := range t.Coeffs {
-		r.Coeffs[name] = c * k
+	r.vec = make([]monomial, 0, len(t.vec)+len(u.vec))
+	i, j := 0, 0
+	for i < len(t.vec) || j < len(u.vec) {
+		var m monomial
+		switch {
+		case j == len(u.vec) || i < len(t.vec) && t.vec[i].name < u.vec[j].name:
+			m = monomial{t.vec[i].name, a * t.vec[i].c}
+			i++
+		case i == len(t.vec) || u.vec[j].name < t.vec[i].name:
+			m = monomial{u.vec[j].name, b * u.vec[j].c}
+			j++
+		default:
+			m = monomial{t.vec[i].name, a*t.vec[i].c + b*u.vec[j].c}
+			i++
+			j++
+		}
+		if m.c != 0 {
+			r.vec = append(r.vec, m)
+		}
 	}
 	return r
 }
 
 // IsConst reports whether t has no variables.
-func (t Term) IsConst() bool { return len(t.Coeffs) == 0 }
+func (t Term) IsConst() bool { return len(t.vec) == 0 }
 
-// String renders the term.
+// String renders the term: its monomials in name order, then the constant
+// when it is non-zero or the term has no variables.
 func (t Term) String() string {
-	var names []string
-	for n := range t.Coeffs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	var b strings.Builder
-	first := true
-	for _, n := range names {
-		c := t.Coeffs[n]
-		if !first {
+	for i, m := range t.vec {
+		if i > 0 {
 			b.WriteString(" + ")
 		}
-		first = false
-		if c == 1 {
-			b.WriteString(n)
-		} else {
-			fmt.Fprintf(&b, "%d*%s", c, n)
+		if m.c != 1 {
+			b.WriteString(strconv.FormatInt(m.c, 10))
+			b.WriteByte('*')
 		}
+		b.WriteString(m.name)
 	}
-	if t.Const != 0 || first {
-		if !first {
+	if t.Const != 0 || len(t.vec) == 0 {
+		if len(t.vec) > 0 {
 			b.WriteString(" + ")
 		}
-		fmt.Fprintf(&b, "%d", t.Const)
+		b.WriteString(strconv.FormatInt(t.Const, 10))
 	}
 	return b.String()
 }

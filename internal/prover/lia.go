@@ -30,23 +30,27 @@ func normalizeLe(t Term) (Term, bool) {
 	if t.IsConst() {
 		return t, t.Const <= 0
 	}
-	var g int64
-	for _, c := range t.Coeffs {
-		g = gcd64(g, c)
-	}
+	g := coeffGCD(t)
 	if g > 1 {
-		nt := Term{Coeffs: map[string]int64{}}
-		for n, c := range t.Coeffs {
-			nt.Coeffs[n] = c / g
+		nt := Term{vec: make([]monomial, len(t.vec))}
+		for i, m := range t.vec {
+			nt.vec[i] = monomial{m.name, m.c / g}
 		}
-		// t ≤ 0  ⇔  Σ c/g·x ≤ floor(-Const/g)·(-1)… do it directly:
 		// Σ ci·xi + k ≤ 0 with all ci divisible by g means
 		// Σ (ci/g)·xi ≤ -k/g, tightened to floor(-k/g).
-		nk := floorDiv(-t.Const, g)
-		nt.Const = -nk
+		nt.Const = -floorDiv(-t.Const, g)
 		return nt, true
 	}
 	return t, true
+}
+
+// coeffGCD returns the GCD of t's coefficients (0 for a constant term).
+func coeffGCD(t Term) int64 {
+	var g int64
+	for _, m := range t.vec {
+		g = gcd64(g, m.c)
+	}
+	return g
 }
 
 func floorDiv(a, b int64) int64 {
@@ -63,10 +67,7 @@ func eqUnsatByGCD(t Term) bool {
 	if t.IsConst() {
 		return t.Const != 0
 	}
-	var g int64
-	for _, c := range t.Coeffs {
-		g = gcd64(g, c)
-	}
+	g := coeffGCD(t)
 	return g != 0 && t.Const%g != 0
 }
 
@@ -76,7 +77,7 @@ func eqUnsatByGCD(t Term) bool {
 // prover's use, which only trusts UNSAT results).
 func liaSat(les, eqs, neqs []Term) bool {
 	// Substitute out equalities where a variable has coefficient ±1.
-	les = append([]Term{}, les...)
+	les = append(make([]Term, 0, len(les)+2*len(eqs)+len(neqs)), les...)
 	eqs = append([]Term{}, eqs...)
 	neqs = append([]Term{}, neqs...)
 
@@ -85,33 +86,27 @@ func liaSat(les, eqs, neqs []Term) bool {
 		if eqUnsatByGCD(t) {
 			return false
 		}
-		var pivot string
-		for n, c := range t.Coeffs {
-			if c == 1 || c == -1 {
-				pivot = n
+		// Pivot on the first unit coefficient in name order.
+		var pivot monomial
+		for _, m := range t.vec {
+			if m.c == 1 || m.c == -1 {
+				pivot = m
 				break
 			}
 		}
-		if pivot == "" {
+		if pivot.c == 0 {
 			// Keep as two inequalities.
 			les = append(les, t, t.Scale(-1))
 			continue
 		}
-		// pivot = expr; substitute everywhere.
-		c := t.Coeffs[pivot]
-		rest := t.clone()
-		delete(rest.Coeffs, pivot)
-		// c·p + rest = 0  =>  p = -rest/c ; c = ±1 so p = -c·rest... careful:
-		// p = (-rest)·(1/c) = rest·(-c) since c² = 1.
-		sub := rest.Scale(-c)
+		// c·p + rest = 0 with c = ±1 gives p = -c·rest, so a term u with
+		// coefficient k on p becomes u - k·c·t, in which p cancels.
 		subst := func(u Term) Term {
-			k, ok := u.Coeffs[pivot]
-			if !ok {
+			k := u.Coeff(pivot.name)
+			if k == 0 {
 				return u
 			}
-			r := u.clone()
-			delete(r.Coeffs, pivot)
-			return r.Add(sub.Scale(k))
+			return combine(1, u, -k*pivot.c, t)
 		}
 		for j := range les {
 			les[j] = subst(les[j])
@@ -124,7 +119,9 @@ func liaSat(les, eqs, neqs []Term) bool {
 		}
 	}
 
-	// Case-split disequalities: T ≠ 0 becomes T ≤ -1 ∨ -T ≤ -1.
+	// Case-split disequalities: T ≠ 0 becomes T ≤ -1 ∨ -T ≤ -1. Both
+	// branches append their case to les in the same slot: fourierMotzkin
+	// copies its input, so a finished branch leaves nothing behind.
 	var split func(les []Term, neqs []Term) bool
 	split = func(les []Term, neqs []Term) bool {
 		if len(neqs) == 0 {
@@ -132,14 +129,14 @@ func liaSat(les, eqs, neqs []Term) bool {
 		}
 		t := neqs[0]
 		rest := neqs[1:]
-		lo := t.clone()
+		lo := t
 		lo.Const++ // t + 1 ≤ 0  ⇔  t ≤ -1
-		if split(append(append([]Term{}, les...), lo), rest) {
+		if split(append(les, lo), rest) {
 			return true
 		}
 		hi := t.Scale(-1)
 		hi.Const++ // -t ≤ -1  ⇔  t ≥ 1
-		return split(append(append([]Term{}, les...), hi), rest)
+		return split(append(les, hi), rest)
 	}
 	return split(les, neqs)
 }
@@ -150,9 +147,10 @@ const maxConstraints = 4000
 // elimination + GCD tightening).
 func fourierMotzkin(cons []Term) bool {
 	work := append([]Term{}, cons...)
+	counts := map[string]posNeg{}
 	for {
 		// Normalise; bail out on trivial falsity.
-		vars := map[string]bool{}
+		clear(counts)
 		out := work[:0]
 		for _, t := range work {
 			nt, ok := normalizeLe(t)
@@ -162,8 +160,14 @@ func fourierMotzkin(cons []Term) bool {
 			if nt.IsConst() {
 				continue // trivially true
 			}
-			for n := range nt.Coeffs {
-				vars[n] = true
+			for _, m := range nt.vec {
+				pn := counts[m.name]
+				if m.c > 0 {
+					pn.pos++
+				} else {
+					pn.neg++
+				}
+				counts[m.name] = pn
 			}
 			out = append(out, nt)
 		}
@@ -174,29 +178,20 @@ func fourierMotzkin(cons []Term) bool {
 		if len(work) > maxConstraints {
 			return true // give up: treat as satisfiable (sound for proving)
 		}
-		// Pick the variable with the fewest pos×neg products.
-		var best string
-		bestCost := 1 << 60
-		for v := range vars {
-			pos, neg := 0, 0
-			for _, t := range work {
-				c := t.Coeffs[v]
-				if c > 0 {
-					pos++
-				} else if c < 0 {
-					neg++
-				}
-			}
-			cost := pos * neg
-			if cost < bestCost {
-				bestCost = cost
-				best = v
+		// Eliminate the variable with the fewest pos×neg products, the
+		// first by name among equals.
+		var v string
+		bestCost := -1
+		for name, pn := range counts {
+			cost := pn.pos * pn.neg
+			if bestCost < 0 || cost < bestCost || cost == bestCost && name < v {
+				bestCost, v = cost, name
 			}
 		}
-		v := best
-		var pos, neg, rest []Term
+		var pos, neg []Term
+		rest := make([]Term, 0, len(work))
 		for _, t := range work {
-			c := t.Coeffs[v]
+			c := t.Coeff(v)
 			switch {
 			case c > 0:
 				pos = append(pos, t)
@@ -206,17 +201,12 @@ func fourierMotzkin(cons []Term) bool {
 				rest = append(rest, t)
 			}
 		}
-		// Combine each pos with each neg: from a·v ≤ A and -b·v ≤ B
-		// (a,b > 0) derive b·A + a·B ≥ ... i.e. b·(pos w/o v) + a·(neg w/o v) ≤ 0.
+		// Combine each pos with each neg: from a·v + P ≤ 0 and -b·v + N ≤ 0
+		// (a,b > 0) derive b·P + a·N ≤ 0, the sum in which v cancels.
 		for _, p := range pos {
-			a := p.Coeffs[v]
-			pRest := p.clone()
-			delete(pRest.Coeffs, v)
+			a := p.Coeff(v)
 			for _, n := range neg {
-				b := -n.Coeffs[v]
-				nRest := n.clone()
-				delete(nRest.Coeffs, v)
-				comb := pRest.Scale(b).Add(nRest.Scale(a))
+				comb := combine(-n.Coeff(v), p, a, n)
 				if comb.IsConst() {
 					if comb.Const > 0 {
 						return false
@@ -229,3 +219,7 @@ func fourierMotzkin(cons []Term) bool {
 		work = rest
 	}
 }
+
+// posNeg counts the constraints in which a variable has a positive and a
+// negative coefficient.
+type posNeg struct{ pos, neg int }

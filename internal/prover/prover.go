@@ -33,12 +33,15 @@ func Prove(f Formula) Result {
 // Satisfiable decides satisfiability of f via lazy DPLL(T): the boolean
 // skeleton goes to the SAT core; each propositionally satisfying assignment
 // is checked against the linear-integer theory, adding blocking clauses
-// until agreement or propositional exhaustion.
+// until agreement or propositional exhaustion. A satisfying model lists the
+// theory literals, then the boolean variables, each in the order f first
+// mentions them.
 func Satisfiable(f Formula) (bool, []string, int) {
 	enc := newEncoder()
 	root := enc.encode(f)
 	enc.s.addClause(clause{root})
 
+	var les, eqs, neqs []Term
 	iterations := 0
 	for {
 		iterations++
@@ -50,45 +53,27 @@ func Satisfiable(f Formula) (bool, []string, int) {
 			return false, nil, iterations
 		}
 		// Gather asserted theory literals.
-		var les, eqs, neqs []Term
-		var blocking clause
-		var desc []string
-		for key, v := range enc.atomVar {
-			a := enc.atoms[key]
-			if assign[v] {
-				blocking = append(blocking, -v)
+		les, eqs, neqs = les[:0], eqs[:0], neqs[:0]
+		blocking := make(clause, 0, len(enc.atoms))
+		for _, a := range enc.atoms {
+			if assign[a.lit] {
+				blocking = append(blocking, -a.lit)
 				if a.Op == OpLe {
 					les = append(les, a.T)
-					desc = append(desc, a.fString())
 				} else {
 					eqs = append(eqs, a.T)
-					desc = append(desc, a.fString())
 				}
 			} else {
-				blocking = append(blocking, v)
+				blocking = append(blocking, a.lit)
 				if a.Op == OpLe {
-					// ¬(T ≤ 0) ⇔ T ≥ 1 ⇔ -T + 1 ≤ 0
-					neg := a.T.Scale(-1)
-					neg.Const++
-					les = append(les, neg)
-					desc = append(desc, "(not "+a.fString()+")")
+					les = append(les, a.negT)
 				} else {
 					neqs = append(neqs, a.T)
-					desc = append(desc, "(not "+a.fString()+")")
 				}
 			}
 		}
 		if liaSat(les, eqs, neqs) {
-			// Theory agrees: satisfiable. Include boolean variables in the
-			// model description.
-			for name, v := range enc.boolVar {
-				if assign[v] {
-					desc = append(desc, name)
-				} else {
-					desc = append(desc, "(not "+name+")")
-				}
-			}
-			return true, desc, iterations
+			return true, enc.model(assign), iterations
 		}
 		if len(blocking) == 0 {
 			return false, nil, iterations
@@ -101,24 +86,61 @@ func Satisfiable(f Formula) (bool, []string, int) {
 // Tseitin encoding
 // ---------------------------------------------------------------------------
 
+// encoder numbers a formula's atoms and boolean variables in the order it
+// first meets them, so the refinement loop and the model it reports do not
+// depend on map iteration order.
 type encoder struct {
 	s       *satSolver
-	atomVar map[string]int
-	atoms   map[string]FAtom
-	boolVar map[string]int
+	atoms   []encAtom
+	atomIdx map[string]int // rendered atom → index in atoms
+	bools   []encBool
+	boolIdx map[string]int // name → index in bools
 	trueLit int
+}
+
+// encAtom is one distinct theory atom with its SAT variable.
+type encAtom struct {
+	FAtom
+	lit  int
+	key  string // the atom rendered, as it appears in a model
+	negT Term   // for OpLe, ¬(T ≤ 0) as -T + 1 ≤ 0
+}
+
+// encBool is one boolean variable with its SAT variable.
+type encBool struct {
+	name string
+	lit  int
 }
 
 func newEncoder() *encoder {
 	e := &encoder{
 		s:       &satSolver{},
-		atomVar: map[string]int{},
-		atoms:   map[string]FAtom{},
-		boolVar: map[string]int{},
+		atomIdx: map[string]int{},
+		boolIdx: map[string]int{},
 	}
 	e.trueLit = e.fresh()
 	e.s.addClause(clause{e.trueLit})
 	return e
+}
+
+// model renders a satisfying assignment: each atom as asserted or negated,
+// then each boolean variable.
+func (e *encoder) model(assign []bool) []string {
+	desc := make([]string, 0, len(e.atoms)+len(e.bools))
+	for _, a := range e.atoms {
+		desc = append(desc, literal(a.key, assign[a.lit]))
+	}
+	for _, b := range e.bools {
+		desc = append(desc, literal(b.name, assign[b.lit]))
+	}
+	return desc
+}
+
+func literal(s string, holds bool) string {
+	if holds {
+		return s
+	}
+	return "(not " + s + ")"
 }
 
 func (e *encoder) fresh() int {
@@ -134,20 +156,26 @@ func (e *encoder) encode(f Formula) int {
 	case FFalse:
 		return -e.trueLit
 	case FBoolVar:
-		v, ok := e.boolVar[f.Name]
-		if !ok {
-			v = e.fresh()
-			e.boolVar[f.Name] = v
+		if i, ok := e.boolIdx[f.Name]; ok {
+			return e.bools[i].lit
 		}
+		v := e.fresh()
+		e.boolIdx[f.Name] = len(e.bools)
+		e.bools = append(e.bools, encBool{f.Name, v})
 		return v
 	case FAtom:
 		key := f.fString()
-		v, ok := e.atomVar[key]
-		if !ok {
-			v = e.fresh()
-			e.atomVar[key] = v
-			e.atoms[key] = f
+		if i, ok := e.atomIdx[key]; ok {
+			return e.atoms[i].lit
 		}
+		v := e.fresh()
+		a := encAtom{FAtom: f, lit: v, key: key}
+		if f.Op == OpLe {
+			a.negT = f.T.Scale(-1)
+			a.negT.Const++
+		}
+		e.atomIdx[key] = len(e.atoms)
+		e.atoms = append(e.atoms, a)
 		return v
 	case FNot:
 		return -e.encode(f.F)
@@ -160,7 +188,8 @@ func (e *encoder) encode(f Formula) int {
 			e.s.addClause(clause{-out, lits[i]})
 		}
 		// all lits -> out
-		c := clause{out}
+		c := make(clause, 1, len(lits)+1)
+		c[0] = out
 		for _, l := range lits {
 			c = append(c, -l)
 		}
@@ -169,7 +198,8 @@ func (e *encoder) encode(f Formula) int {
 	case FOr:
 		out := e.fresh()
 		lits := make([]int, len(f.Fs))
-		c := clause{-out}
+		c := make(clause, 1, len(f.Fs)+1)
+		c[0] = -out
 		for i, sub := range f.Fs {
 			lits[i] = e.encode(sub)
 			c = append(c, lits[i])

@@ -1,6 +1,7 @@
 package prover
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -126,7 +127,7 @@ func TestSatisfiableReportsModel(t *testing.T) {
 
 func TestTermAlgebra(t *testing.T) {
 	a := x().Scale(3).Add(n(4)).Sub(y())
-	if a.Coeffs["x"] != 3 || a.Coeffs["y"] != -1 || a.Const != 4 {
+	if a.Coeff("x") != 3 || a.Coeff("y") != -1 || a.Const != 4 {
 		t.Fatalf("term = %+v", a)
 	}
 	if s := a.String(); s == "" {
@@ -215,3 +216,25 @@ func TestDeepNesting(t *testing.T) {
 }
 
 func vname(i int) string { return "v" + string(rune('a'+i)) }
+
+// TestCounterexampleDeterministic proves one failing formula repeatedly:
+// the model lists the theory literals, then the boolean variables, each in
+// the order the negated formula first mentions them, and the refinement
+// loop takes the same rounds every time.
+func TestCounterexampleDeterministic(t *testing.T) {
+	p, q := FBoolVar{"p"}, FBoolVar{"q"}
+	f := Implies(
+		And(Or(Le(x(), n(0)), Ge(x(), n(5))), Ge(x(), n(3)), Ne(x(), y()), p, Or(q, Le(y(), n(10)))),
+		Lt(x(), y()))
+	want := []string{
+		"(not (x <= 0))", "(-1*x + 5 <= 0)", "(-1*x + 3 <= 0)", "(not (x + -1*y = 0))",
+		"(y + -10 <= 0)", "(not (x + -1*y + 1 <= 0))", "p", "q",
+	}
+	for i := 0; i < 50; i++ {
+		res := Prove(f)
+		if res.Proved || res.Iterations != 5 || !reflect.DeepEqual(res.Counterexample, want) {
+			t.Fatalf("run %d: proved=%v iterations=%d counterexample %q; want 5 iterations, %q",
+				i, res.Proved, res.Iterations, res.Counterexample, want)
+		}
+	}
+}

@@ -20,7 +20,7 @@ func (s *satSolver) addClause(c clause) {
 // or nil if unsatisfiable.
 func (s *satSolver) solve() []bool {
 	assign := make([]int8, s.numVars+1) // 0 unassigned, 1 true, -1 false
-	var trail []int
+	trail := make([]int, 0, s.numVars)
 
 	setLit := func(lit int) {
 		v := lit

@@ -64,9 +64,10 @@ type Report struct {
 // Program verifies every function in a checked program.
 func Program(prog *ast.Program, info *types.Info, opts Options) *Report {
 	rep := &Report{}
+	contracts := contractTable(info)
 	for _, d := range prog.Defs {
 		if fn, ok := d.(*ast.DefineFunc); ok {
-			verifyFunc(fn, info, opts, rep)
+			verifyFunc(fn, info, contracts, opts, rep)
 		}
 	}
 	return rep
@@ -75,8 +76,18 @@ func Program(prog *ast.Program, info *types.Info, opts Options) *Report {
 // Function verifies a single function.
 func Function(fn *ast.DefineFunc, info *types.Info, opts Options) *Report {
 	rep := &Report{}
-	verifyFunc(fn, info, opts, rep)
+	verifyFunc(fn, info, contractTable(info), opts, rep)
 	return rep
+}
+
+// contractTable maps each function name to the declaration whose contract
+// call sites are checked against; a later definition of a name wins.
+func contractTable(info *types.Info) map[string]*ast.DefineFunc {
+	t := make(map[string]*ast.DefineFunc, len(info.FuncDecls))
+	for _, d := range info.FuncDecls {
+		t[d.Name] = d
+	}
+	return t
 }
 
 // Summary renders a one-line result.
@@ -150,12 +161,8 @@ func (v *verifier) freshVar(hint string) prover.Term {
 	return prover.VarTerm(fmt.Sprintf("%%%s%d", hint, v.fresh))
 }
 
-func verifyFunc(fn *ast.DefineFunc, info *types.Info, opts Options, rep *Report) {
-	v := &verifier{info: info, opts: opts, rep: rep, fn: fn,
-		funcContracts: map[string]*ast.DefineFunc{}}
-	for _, d := range info.FuncDecls {
-		v.funcContracts[d.Name] = d
-	}
+func verifyFunc(fn *ast.DefineFunc, info *types.Info, contracts map[string]*ast.DefineFunc, opts Options, rep *Report) {
+	v := &verifier{info: info, opts: opts, rep: rep, fn: fn, funcContracts: contracts}
 	st := newVstate()
 	for _, p := range fn.Params {
 		st.vars[p.Name] = v.initialValue(p.Name, p.Type)

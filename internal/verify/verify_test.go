@@ -12,14 +12,7 @@ import (
 
 func report(t *testing.T, src string) *verify.Report {
 	t.Helper()
-	prog, diags := parser.Parse("t.bitc", src)
-	if diags.HasErrors() {
-		t.Fatalf("parse: %v", diags)
-	}
-	info, cdiags := types.Check(prog)
-	if cdiags.HasErrors() {
-		t.Fatalf("check: %v", cdiags)
-	}
+	prog, info := check(t, src)
 	return verify.Program(prog, info, verify.DefaultOptions)
 }
 

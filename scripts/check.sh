@@ -16,6 +16,11 @@ go vet ./...
 go build ./...
 go test ./...
 
+# Verifier determinism gate: a failing proof must report the same
+# counterexample facts, in the same order, after the same number of
+# refinement rounds on every run, and a whole verify pass must repeat.
+go test -count=5 -run 'Determin' ./internal/prover ./internal/verify
+
 # Self-lint: every example program must analyze with zero error-severity
 # findings. `bitc analyze` exits 1 on errors; the JSON is also checked so a
 # regression in the exit-code contract cannot mask findings.
