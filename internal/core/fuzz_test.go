@@ -25,6 +25,8 @@ func FuzzLoad(f *testing.F) {
 		`#| nested #| comment |# |# (define x 1)`,
 		"\x00\xff\xfe",
 		`(define (f (x 'a)) 'a x)`,
+		`(defunion * (A) (B))`,
+		`(defstruct * (x int64))`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -92,7 +92,9 @@ func (c *checker) record(e ast.Expr, t *Type) *Type {
 // then defaulting of leftover type variables.
 func (c *checker) run(prog *ast.Program) {
 	// Pass 1: collect type declarations (structs, unions) so types can be
-	// resolved in any order.
+	// resolved in any order. A rejected name (a duplicate, or one that
+	// shadows a builtin) has no info, so pass 2 skips its definition.
+	var typeDefs []ast.Def
 	for _, d := range prog.Defs {
 		switch d := d.(type) {
 		case *ast.DefStruct:
@@ -102,15 +104,17 @@ func (c *checker) run(prog *ast.Program) {
 			c.info.Structs[d.Name] = &StructInfo{
 				Name: d.Name, Packed: d.Packed, Boxed: d.Boxed, Align: d.Align,
 			}
+			typeDefs = append(typeDefs, d)
 		case *ast.DefUnion:
 			if c.declared(d.Name, d.Span()) {
 				continue
 			}
 			c.info.Unions[d.Name] = &UnionInfo{Name: d.Name}
+			typeDefs = append(typeDefs, d)
 		}
 	}
 	// Pass 2: resolve field types.
-	for _, d := range prog.Defs {
+	for _, d := range typeDefs {
 		switch d := d.(type) {
 		case *ast.DefStruct:
 			si := c.info.Structs[d.Name]

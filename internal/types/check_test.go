@@ -255,6 +255,27 @@ func TestDuplicateDefinitions(t *testing.T) {
 	checkErr(t, `(define (vector-ref) 1)`, "builtin")
 }
 
+// TestRejectedTypeDefinitions covers type definitions whose name pass 1
+// rejects: each must produce a diagnostic, not a crash in field resolution,
+// and a rejected duplicate must not add fields to the accepted definition.
+func TestRejectedTypeDefinitions(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{`(defunion * (A) (B))`, "shadows a builtin"},
+		{`(defstruct * (x int64))`, "shadows a builtin"},
+		{`(defstruct vector-ref (x int64) (x int64))`, "shadows a builtin"},
+		{`(defunion p (A) (B)) (defstruct p (x int64))`, "already defined"},
+		{`(defstruct p (x int64)) (defstruct p (x int64))`, "already defined"},
+		{`(defstruct p (x int64)) (defunion p (A))`, "already defined"},
+	} {
+		checkErr(t, tc.src, tc.want)
+	}
+	prog, _ := parser.Parse("t.bitc", `(defstruct p (x int64)) (defstruct p (y int64) (z int64))`)
+	info, _ := types.Check(prog)
+	if n := len(info.Structs["p"].Fields); n != 1 {
+		t.Fatalf("struct p has %d fields, want 1 (the duplicate's fields leaked in)", n)
+	}
+}
+
 func TestVectorOps(t *testing.T) {
 	info := checkOK(t, `
 	  (define (sum (v (vector int32))) int32

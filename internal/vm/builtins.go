@@ -12,7 +12,7 @@ import (
 // result directly into the blocked frame's destination register.
 func (v *VM) builtin(t *Thread, fr *Frame, in *ir.Instr) error {
 	name := in.Str
-	arg := func(i int) Value { return fr.regs[in.Args[i]] }
+	arg := func(i int) Value { return fr.get(in.Args[i]) }
 
 	switch name {
 	case "print", "println":
@@ -21,7 +21,7 @@ func (v *VM) builtin(t *Thread, fr *Frame, in *ir.Instr) error {
 			s += "\n"
 		}
 		fmt.Fprint(v.opts.Stdout, s)
-		fr.regs[in.Dst] = unitVal()
+		fr.set(in.Dst, unitVal())
 		return nil
 
 	case "min", "max":
@@ -34,31 +34,31 @@ func (v *VM) builtin(t *Thread, fr *Frame, in *ir.Instr) error {
 		if (name == "min") != less {
 			res = b
 		}
-		fr.regs[in.Dst] = res
+		fr.set(in.Dst, res)
 		return nil
 
 	case "abs":
 		a := arg(0)
 		if a.K == KFloat {
-			fr.regs[in.Dst] = v.boxResult(in, floatVal(math.Abs(v.loadFloat(a))))
+			v.setResult(fr, in, floatVal(math.Abs(v.loadFloat(a))))
 		} else {
 			x := v.loadInt(a)
 			if x < 0 {
 				x = -x
 			}
-			fr.regs[in.Dst] = v.boxResult(in, intVal(x))
+			v.setResult(fr, in, intVal(x))
 		}
 		return nil
 
 	case "sqrt":
-		fr.regs[in.Dst] = v.boxResult(in, floatVal(math.Sqrt(v.loadFloat(arg(0)))))
+		v.setResult(fr, in, floatVal(math.Sqrt(v.loadFloat(arg(0)))))
 		return nil
 	case "floor":
-		fr.regs[in.Dst] = v.boxResult(in, floatVal(math.Floor(v.loadFloat(arg(0)))))
+		v.setResult(fr, in, floatVal(math.Floor(v.loadFloat(arg(0)))))
 		return nil
 
 	case "string-length":
-		fr.regs[in.Dst] = v.boxResult(in, intVal(int64(len(arg(0).S))))
+		v.setResult(fr, in, intVal(int64(len(arg(0).S))))
 		return nil
 	case "string-ref":
 		s := arg(0).S
@@ -66,10 +66,10 @@ func (v *VM) builtin(t *Thread, fr *Frame, in *ir.Instr) error {
 		if i < 0 || i >= int64(len(s)) {
 			return trapf("string index %d out of range 0..%d", i, len(s)-1)
 		}
-		fr.regs[in.Dst] = v.boxResult(in, charVal(int64(s[i])))
+		v.setResult(fr, in, charVal(int64(s[i])))
 		return nil
 	case "string-append":
-		fr.regs[in.Dst] = strVal(arg(0).S + arg(1).S)
+		fr.set(in.Dst, strVal(arg(0).S+arg(1).S))
 		return nil
 	case "substring":
 		s := arg(0).S
@@ -77,7 +77,7 @@ func (v *VM) builtin(t *Thread, fr *Frame, in *ir.Instr) error {
 		if from < 0 || to < from || to > int64(len(s)) {
 			return trapf("substring range %d..%d invalid for length %d", from, to, len(s))
 		}
-		fr.regs[in.Dst] = strVal(s[from:to])
+		fr.set(in.Dst, strVal(s[from:to]))
 		return nil
 
 	case "make-chan":
@@ -87,7 +87,7 @@ func (v *VM) builtin(t *Thread, fr *Frame, in *ir.Instr) error {
 		}
 		o := &Object{Kind: OChan, Chan: &ChanState{Cap: int(capacity)}, Region: -1}
 		v.accountAlloc(o, 32+uint64(capacity)*8)
-		fr.regs[in.Dst] = refVal(o)
+		fr.set(in.Dst, refVal(o))
 		return nil
 
 	case "send":
@@ -102,21 +102,21 @@ func (v *VM) builtin(t *Thread, fr *Frame, in *ir.Instr) error {
 		tid := v.loadInt(arg(0))
 		target := v.threadByID(tid)
 		if target == nil || target.state == TDone {
-			fr.regs[in.Dst] = unitVal()
+			fr.set(in.Dst, unitVal())
 			return nil
 		}
-		fr.regs[in.Dst] = unitVal() // join yields unit once the target is done
+		fr.set(in.Dst, unitVal()) // join yields unit once the target is done
 		t.state = TBlockedJoin
 		t.waitTid = tid
 		return nil
 
 	case "yield":
-		fr.regs[in.Dst] = unitVal()
+		fr.set(in.Dst, unitVal())
 		t.yielded = true // ends this thread's quantum at the next check
 		return nil
 
 	case "thread-id":
-		fr.regs[in.Dst] = v.boxResult(in, intVal(t.ID))
+		v.setResult(fr, in, intVal(t.ID))
 		return nil
 
 	default:
@@ -157,12 +157,12 @@ func (v *VM) chanSend(t *Thread, fr *Frame, in *ir.Instr) error {
 	if t.txn != nil {
 		return trapf("send inside atomic is not allowed")
 	}
-	ch, err := v.chanObj(fr.regs[in.Args[0]])
+	ch, err := v.chanObj(fr.get(in.Args[0]))
 	if err != nil {
 		return err
 	}
-	val := fr.regs[in.Args[1]]
-	fr.regs[in.Dst] = unitVal()
+	val := fr.get(in.Args[1])
+	fr.set(in.Dst, unitVal())
 
 	// A receiver is waiting: hand the value over directly.
 	if len(ch.RecvQ) > 0 {
@@ -187,7 +187,7 @@ func (v *VM) chanRecv(t *Thread, fr *Frame, in *ir.Instr) error {
 	if t.txn != nil {
 		return trapf("recv inside atomic is not allowed")
 	}
-	ch, err := v.chanObj(fr.regs[in.Args[0]])
+	ch, err := v.chanObj(fr.get(in.Args[0]))
 	if err != nil {
 		return err
 	}
@@ -201,13 +201,13 @@ func (v *VM) chanRecv(t *Thread, fr *Frame, in *ir.Instr) error {
 			ch.Buf = append(ch.Buf, snd.waitVal)
 			snd.state = TRunnable
 		}
-		fr.regs[in.Dst] = val
+		fr.set(in.Dst, val)
 		return nil
 	}
 	if len(ch.SendQ) > 0 { // unbuffered rendezvous
 		snd := ch.SendQ[0]
 		ch.SendQ = ch.SendQ[1:]
-		fr.regs[in.Dst] = snd.waitVal
+		fr.set(in.Dst, snd.waitVal)
 		snd.state = TRunnable
 		return nil
 	}
@@ -222,7 +222,7 @@ func (v *VM) chanRecv(t *Thread, fr *Frame, in *ir.Instr) error {
 
 func (v *VM) deliverRecv(rcv *Thread, val Value) {
 	if rcv.waitDstFrame != nil && rcv.waitDst != ir.NoReg {
-		rcv.waitDstFrame.regs[rcv.waitDst] = val
+		rcv.waitDstFrame.set(rcv.waitDst, val)
 	}
 	rcv.waitDstFrame = nil
 	rcv.state = TRunnable

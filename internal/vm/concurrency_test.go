@@ -14,23 +14,7 @@ import (
 // the scheduler reports it instead of hanging — "failures are silent" is the
 // lock problem the course slides list; here it is at least loud.
 func TestTwoLockDeadlockDetected(t *testing.T) {
-	src := `
-	  (defstruct flags (fa int64) (fb int64))
-	  (define g flags (make flags :fa 0 :fb 0))
-	  (define (ab) unit
-	    (with-lock a
-	      (set-field! g fa 1)
-	      (while (= (field g fb) 0) (yield)) ; wait until ba holds b
-	      (with-lock b ())))
-	  (define (ba) unit
-	    (with-lock b
-	      (set-field! g fb 1)
-	      (while (= (field g fa) 0) (yield)) ; wait until ab holds a
-	      (with-lock a ())))
-	  (define (f) unit
-	    (let ((t1 (spawn (ab))) (t2 (spawn (ba))))
-	      (join t1) (join t2)))`
-	prog, _ := parser.Parse("t", src)
+	prog, _ := parser.Parse("t", abbaDeadlockSrc)
 	info, cd := types.Check(prog)
 	if cd.HasErrors() {
 		t.Fatal(cd)
@@ -51,18 +35,7 @@ func TestTwoLockDeadlockDetected(t *testing.T) {
 // TestLockHandoffFIFO checks released locks go to the longest waiter, so no
 // thread starves.
 func TestLockHandoffFIFO(t *testing.T) {
-	src := `
-	  (defstruct log (order (vector int64)) (next int64))
-	  (define l log (make log :order (make-vector 8 0) :next 0))
-	  (define (record (who int64)) unit
-	    (with-lock m
-	      (vector-set! (field l order) (field l next) who)
-	      (set-field! l next (+ (field l next) 1))))
-	  (define (f) int64
-	    (let ((t1 (spawn (record 1))) (t2 (spawn (record 2))) (t3 (spawn (record 3))))
-	      (join t1) (join t2) (join t3)
-	      (field l next)))`
-	val, _ := runOpts(t, src, "f", vm.Options{Seed: 11, Quantum: 3}, compilerOptions())
+	val, _ := runOpts(t, lockHandoffSrc, "f", vm.Options{Seed: 11, Quantum: 3}, compilerOptions())
 	if val.I != 3 {
 		t.Fatalf("records = %d", val.I)
 	}
@@ -73,17 +46,7 @@ func compilerOptions() compiler.Options { return compiler.Options{} }
 // TestNestedAtomicFlattens checks inner atomic blocks join the outer
 // transaction (flat nesting) and commit only once.
 func TestNestedAtomicFlattens(t *testing.T) {
-	src := `
-	  (defstruct cell (v int64))
-	  (define c cell (make cell :v 0))
-	  (define (inner) unit
-	    (atomic (set-field! c v (+ (field c v) 1))))
-	  (define (f) int64
-	    (atomic
-	      (set-field! c v 10)
-	      (inner))
-	    (field c v))`
-	val, machine := run(t, src, "f")
+	val, machine := run(t, nestedAtomicSrc, "f")
 	if val.I != 11 {
 		t.Fatalf("got %d", val.I)
 	}
@@ -96,7 +59,98 @@ func TestNestedAtomicFlattens(t *testing.T) {
 // conflicting writer forces a retry, which must unwind the callee frames
 // cleanly and still converge.
 func TestAtomicRetryUnwindsCalls(t *testing.T) {
-	src := `
+	val, machine := runOpts(t, retryUnwindSrc, "f", vm.Options{Seed: 17, Quantum: 3}, compilerOptions())
+	if val.I != 400 {
+		t.Fatalf("got %d, want 400", val.I)
+	}
+	if machine.Stats.TxAborts == 0 {
+		t.Log("note: no aborts at this seed; conflict path not exercised")
+	}
+}
+
+// TestAtomicReadConsistency: a transaction reading two fields must never see
+// a torn pair, even with writers running.
+func TestAtomicReadConsistency(t *testing.T) {
+	val, _ := runOpts(t, readConsistencySrc, "f", vm.Options{Seed: 23, Quantum: 2}, compilerOptions())
+	if val.I != 0 {
+		t.Fatalf("saw %d torn reads", val.I)
+	}
+}
+
+// TestYieldReschedules: with quantum large enough that nothing would
+// preempt, explicit yields still interleave two threads.
+func TestYieldReschedules(t *testing.T) {
+	val, _ := runOpts(t, yieldRacerSrc, "f", vm.Options{Seed: 5, Quantum: 100000}, compilerOptions())
+	if val.I == 200 {
+		t.Fatal("yield did not interleave: no updates were lost")
+	}
+}
+
+// TestManyThreads: a fan-out/fan-in with 16 workers over one channel.
+func TestManyThreads(t *testing.T) {
+	val, _ := runOpts(t, manyThreadsSrc, "f", vm.Options{Seed: 31, Quantum: 7}, compilerOptions())
+	if val.I != 272 { // 2 * (1+..+16)
+		t.Fatalf("got %d, want 272", val.I)
+	}
+}
+
+// TestChannelAsQueueOrdering: a single producer/consumer pair preserves FIFO
+// order through a buffered channel.
+func TestChannelAsQueueOrdering(t *testing.T) {
+	val, _ := runOpts(t, chanQueueSrc, "f", vm.Options{Seed: 13, Quantum: 4}, compilerOptions())
+	if val.I != 1 {
+		t.Fatal("FIFO order violated")
+	}
+}
+
+func TestSpawnInsideAtomicTraps(t *testing.T) {
+	err := runErr(t, spawnInAtomicSrc, "f")
+	if !strings.Contains(err.Error(), "spawn inside atomic") {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+// The programs above, hoisted so TestVMCounterGolden can pin their full
+// counters at the seeds and quanta these tests run them with.
+const (
+	abbaDeadlockSrc = `
+	  (defstruct flags (fa int64) (fb int64))
+	  (define g flags (make flags :fa 0 :fb 0))
+	  (define (ab) unit
+	    (with-lock a
+	      (set-field! g fa 1)
+	      (while (= (field g fb) 0) (yield)) ; wait until ba holds b
+	      (with-lock b ())))
+	  (define (ba) unit
+	    (with-lock b
+	      (set-field! g fb 1)
+	      (while (= (field g fa) 0) (yield)) ; wait until ab holds a
+	      (with-lock a ())))
+	  (define (f) unit
+	    (let ((t1 (spawn (ab))) (t2 (spawn (ba))))
+	      (join t1) (join t2)))`
+	lockHandoffSrc = `
+	  (defstruct log (order (vector int64)) (next int64))
+	  (define l log (make log :order (make-vector 8 0) :next 0))
+	  (define (record (who int64)) unit
+	    (with-lock m
+	      (vector-set! (field l order) (field l next) who)
+	      (set-field! l next (+ (field l next) 1))))
+	  (define (f) int64
+	    (let ((t1 (spawn (record 1))) (t2 (spawn (record 2))) (t3 (spawn (record 3))))
+	      (join t1) (join t2) (join t3)
+	      (field l next)))`
+	nestedAtomicSrc = `
+	  (defstruct cell (v int64))
+	  (define c cell (make cell :v 0))
+	  (define (inner) unit
+	    (atomic (set-field! c v (+ (field c v) 1))))
+	  (define (f) int64
+	    (atomic
+	      (set-field! c v 10)
+	      (inner))
+	    (field c v))`
+	retryUnwindSrc = `
 	  (defstruct cell (v int64))
 	  (define c cell (make cell :v 0))
 	  (define (read-it) int64 (field c v))
@@ -109,19 +163,7 @@ func TestAtomicRetryUnwindsCalls(t *testing.T) {
 	    (let ((t1 (spawn (bump 200))) (t2 (spawn (bump 200))))
 	      (join t1) (join t2)
 	      (field c v)))`
-	val, machine := runOpts(t, src, "f", vm.Options{Seed: 17, Quantum: 3}, compilerOptions())
-	if val.I != 400 {
-		t.Fatalf("got %d, want 400", val.I)
-	}
-	if machine.Stats.TxAborts == 0 {
-		t.Log("note: no aborts at this seed; conflict path not exercised")
-	}
-}
-
-// TestAtomicReadConsistency: a transaction reading two fields must never see
-// a torn pair, even with writers running.
-func TestAtomicReadConsistency(t *testing.T) {
-	src := `
+	readConsistencySrc = `
 	  (defstruct pair (a int64) (b int64))
 	  (define p pair (make pair :a 0 :b 0))
 	  (define (writer (n int64)) unit
@@ -139,16 +181,7 @@ func TestAtomicReadConsistency(t *testing.T) {
 	                ())))
 	        (join w)
 	        torn)))`
-	val, _ := runOpts(t, src, "f", vm.Options{Seed: 23, Quantum: 2}, compilerOptions())
-	if val.I != 0 {
-		t.Fatalf("saw %d torn reads", val.I)
-	}
-}
-
-// TestYieldReschedules: with quantum large enough that nothing would
-// preempt, explicit yields still interleave two threads.
-func TestYieldReschedules(t *testing.T) {
-	src := `
+	yieldRacerSrc = `
 	  (defstruct cell (v int64))
 	  (define c cell (make cell :v 0))
 	  (define (racer (n int64)) unit
@@ -160,15 +193,7 @@ func TestYieldReschedules(t *testing.T) {
 	    (let ((t1 (spawn (racer 100))) (t2 (spawn (racer 100))))
 	      (join t1) (join t2)
 	      (field c v)))`
-	val, _ := runOpts(t, src, "f", vm.Options{Seed: 5, Quantum: 100000}, compilerOptions())
-	if val.I == 200 {
-		t.Fatal("yield did not interleave: no updates were lost")
-	}
-}
-
-// TestManyThreads: a fan-out/fan-in with 16 workers over one channel.
-func TestManyThreads(t *testing.T) {
-	src := `
+	manyThreadsSrc = `
 	  (define (worker (in (chan int64)) (out (chan int64))) unit
 	    (send out (* (recv in) 2)))
 	  (define (f) int64
@@ -179,16 +204,7 @@ func TestManyThreads(t *testing.T) {
 	        (let ((mutable acc 0))
 	          (dotimes (i 16) (set! acc (+ acc (recv out))))
 	          acc))))`
-	val, _ := runOpts(t, src, "f", vm.Options{Seed: 31, Quantum: 7}, compilerOptions())
-	if val.I != 272 { // 2 * (1+..+16)
-		t.Fatalf("got %d, want 272", val.I)
-	}
-}
-
-// TestChannelAsQueueOrdering: a single producer/consumer pair preserves FIFO
-// order through a buffered channel.
-func TestChannelAsQueueOrdering(t *testing.T) {
-	src := `
+	chanQueueSrc = `
 	  (define (producer (c (chan int64))) unit
 	    (dotimes (i 50) (send c i)))
 	  (define (f) bool
@@ -198,18 +214,7 @@ func TestChannelAsQueueOrdering(t *testing.T) {
 	        (dotimes (i 50)
 	          (if (!= (recv c) i) (set! ok #f) ()))
 	        ok)))`
-	val, _ := runOpts(t, src, "f", vm.Options{Seed: 13, Quantum: 4}, compilerOptions())
-	if val.I != 1 {
-		t.Fatal("FIFO order violated")
-	}
-}
-
-func TestSpawnInsideAtomicTraps(t *testing.T) {
-	src := `
+	spawnInAtomicSrc = `
 	  (define (w) int64 1)
 	  (define (f) unit (atomic (spawn (w)) ()))`
-	err := runErr(t, src, "f")
-	if !strings.Contains(err.Error(), "spawn inside atomic") {
-		t.Fatalf("err = %v", err)
-	}
-}
+)

@@ -61,6 +61,11 @@ type dinstr struct {
 	width   uint8
 	boxIt   bool // box the result (Boxed mode, NoBox not honoured)
 	canFuse bool // specialized, non-blocking, frame-neutral: fusible
+	// straight marks a slot that cannot push or pop a frame, branch,
+	// block, yield, or roll back a transaction: after it, the dispatch loop
+	// runs the next slot of the same block without re-checking the thread
+	// (see VM.runQuantum). A slot that absorbs a branch is never straight.
+	straight bool
 
 	dst, a, b ir.Reg
 	args      []ir.Reg
@@ -69,6 +74,7 @@ type dinstr struct {
 	signed    bool
 
 	val    Value   // prebuilt constant (OpConst)
+	k      slot    // val's scalar lane (OpConst)
 	callee *dfunc  // direct call target (OpCall)
 	ic     *icache // inline cache (field/vector access)
 
@@ -167,6 +173,7 @@ func (v *VM) decodeInstr(in *ir.Instr) dinstr {
 		src: in,
 	}
 	d.boxIt = v.opts.Mode == Boxed && !(v.opts.RespectNoBox && in.NoBox)
+	d.straight = straightOp(in.Op)
 	if v.opts.Dispatch == DispatchSwitch {
 		d.h, d.label = hSlow, "switch"
 		return d
@@ -174,10 +181,14 @@ func (v *VM) decodeInstr(in *ir.Instr) dinstr {
 	switch in.Op {
 	case ir.OpConst:
 		d.val = constValue(in)
-		if d.boxIt && boxableKind(d.val.K) {
+		d.k = scalarOf(d.val)
+		d.boxIt = d.boxIt && boxableKind(d.val.K) // unit and strings are never boxed
+		switch {
+		case d.boxIt:
 			d.h, d.label = hConstBox, "const.box"
-		} else {
-			d.boxIt = false // nothing to box: keep put() on its fast path
+		case d.val.K == KString:
+			d.h, d.label = hConstStr, "const"
+		default:
 			d.h, d.label = hConst, "const"
 		}
 		d.canFuse = true
@@ -261,37 +272,21 @@ func (v *VM) decodeInstr(in *ir.Instr) dinstr {
 	return d
 }
 
-// boxableKind reports whether boxResult would box a value of kind k.
+// boxableKind reports whether Boxed mode boxes a value of kind k.
 func boxableKind(k Kind) bool {
 	return k == KInt || k == KBool || k == KChar || k == KFloat
 }
 
-// boxVal allocates a fresh box for val: the decoded-dispatch equivalent of
-// boxResult once decode has already resolved mode and NoBox into d.boxIt.
-func (v *VM) boxVal(val Value) Value {
-	switch val.K {
-	case KInt, KBool, KChar:
-		val.b = &box{i: val.I}
-	case KFloat:
-		val.b = &box{f: val.F}
-	default:
-		return val
+// straightOp reports whether op is frame-neutral for the dispatch loop:
+// calls push frames, builtins may block or yield, atomic.end may roll the
+// thread back, lock acquisition may block, and an extern runs host code.
+func straightOp(op ir.Op) bool {
+	switch op {
+	case ir.OpCall, ir.OpCallClosure, ir.OpCallExtern, ir.OpBuiltin,
+		ir.OpAtomicEnd, ir.OpLockAcquire:
+		return false
 	}
-	v.Stats.BoxAllocs++
-	v.Stats.BoxBytes += 16
-	if v.obs != nil {
-		v.obsAlloc("box", 16)
-	}
-	return val
-}
-
-// put stores a freshly computed scalar, paying the boxing cost when the
-// decode pass determined this instruction's result is boxed.
-func (v *VM) put(d *dinstr, fr *Frame, val Value) {
-	if d.boxIt {
-		val = v.boxVal(val)
-	}
-	fr.regs[d.dst] = val
+	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -304,46 +299,52 @@ func hSlow(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 	return v.exec(t, fr, d.src)
 }
 
+// hConst stores a unit, bool, int, char or float constant: scalar lane only.
 func hConst(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	fr.regs[d.dst] = d.val
+	fr.sc[d.dst] = d.k
+	return nil
+}
+
+func hConstStr(v *VM, t *Thread, fr *Frame, d *dinstr) error {
+	fr.set(d.dst, d.val)
 	return nil
 }
 
 func hConstBox(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	fr.regs[d.dst] = v.boxVal(d.val)
+	v.boxInto(fr, d.dst, d.k.kind, d.k.bits)
 	return nil
 }
 
 func hMov(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	fr.regs[d.dst] = fr.regs[d.a]
+	copyReg(fr, d.dst, fr, d.a)
 	return nil
 }
 
 func hGlobal(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	fr.regs[d.dst] = v.globals[d.imm]
+	fr.set(d.dst, v.globals[d.imm])
 	return nil
 }
 
 func hAddI(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	r := v.loadInt(fr.regs[d.a]) + v.loadInt(fr.regs[d.b])
-	v.put(d, fr, intVal(wrap(r, d.bits, d.signed)))
+	r := v.intReg(fr, d.a) + v.intReg(fr, d.b)
+	v.putInt(d, fr, KInt, wrap(r, d.bits, d.signed))
 	return nil
 }
 
 func hSubI(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	r := v.loadInt(fr.regs[d.a]) - v.loadInt(fr.regs[d.b])
-	v.put(d, fr, intVal(wrap(r, d.bits, d.signed)))
+	r := v.intReg(fr, d.a) - v.intReg(fr, d.b)
+	v.putInt(d, fr, KInt, wrap(r, d.bits, d.signed))
 	return nil
 }
 
 func hMulI(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	r := v.loadInt(fr.regs[d.a]) * v.loadInt(fr.regs[d.b])
-	v.put(d, fr, intVal(wrap(r, d.bits, d.signed)))
+	r := v.intReg(fr, d.a) * v.intReg(fr, d.b)
+	v.putInt(d, fr, KInt, wrap(r, d.bits, d.signed))
 	return nil
 }
 
 func hDivI(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	a, b := v.loadInt(fr.regs[d.a]), v.loadInt(fr.regs[d.b])
+	a, b := v.intReg(fr, d.a), v.intReg(fr, d.b)
 	if b == 0 {
 		return trapf("division by zero")
 	}
@@ -353,12 +354,12 @@ func hDivI(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 	} else {
 		r = int64(uint64(a) / uint64(b))
 	}
-	v.put(d, fr, intVal(wrap(r, d.bits, d.signed)))
+	v.putInt(d, fr, KInt, wrap(r, d.bits, d.signed))
 	return nil
 }
 
 func hModI(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	a, b := v.loadInt(fr.regs[d.a]), v.loadInt(fr.regs[d.b])
+	a, b := v.intReg(fr, d.a), v.intReg(fr, d.b)
 	if b == 0 {
 		return trapf("modulo by zero")
 	}
@@ -368,14 +369,14 @@ func hModI(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 	} else {
 		r = int64(uint64(a) % uint64(b))
 	}
-	v.put(d, fr, intVal(wrap(r, d.bits, d.signed)))
+	v.putInt(d, fr, KInt, wrap(r, d.bits, d.signed))
 	return nil
 }
 
 // hBitI covers the bitwise/shift group; the op re-switch is cold enough
 // (these are rare in the corpus) that five more handlers aren't worth it.
 func hBitI(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	a, b := v.loadInt(fr.regs[d.a]), v.loadInt(fr.regs[d.b])
+	a, b := v.intReg(fr, d.a), v.intReg(fr, d.b)
 	var r int64
 	switch d.op {
 	case ir.OpBitAnd:
@@ -393,109 +394,96 @@ func hBitI(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 			r = int64(uint64(a) >> (uint64(b) & 63))
 		}
 	}
-	v.put(d, fr, intVal(wrap(r, d.bits, d.signed)))
+	v.putInt(d, fr, KInt, wrap(r, d.bits, d.signed))
 	return nil
 }
 
 // cmpFallback mirrors exec.go's compare dispatch: strings, floats, and
 // references take the dynamic path. KUnit..KChar (the kinds below KFloat)
 // compare as integers, exactly like the legacy default branch.
-func cmpFallback(a, b Value) bool { return a.K >= KFloat || b.K >= KFloat }
+func cmpFallback(fr *Frame, d *dinstr) bool {
+	return fr.sc[d.a].kind >= KFloat || fr.sc[d.b].kind >= KFloat
+}
 
 func hEqI(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	a, b := fr.regs[d.a], fr.regs[d.b]
-	if cmpFallback(a, b) {
+	if cmpFallback(fr, d) {
 		return v.compare(t, fr, d.src)
 	}
-	v.put(d, fr, boolVal(v.loadInt(a) == v.loadInt(b)))
+	v.putBool(d, fr, v.intReg(fr, d.a) == v.intReg(fr, d.b))
 	return nil
 }
 
 func hNeI(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	a, b := fr.regs[d.a], fr.regs[d.b]
-	if cmpFallback(a, b) {
+	if cmpFallback(fr, d) {
 		return v.compare(t, fr, d.src)
 	}
-	v.put(d, fr, boolVal(v.loadInt(a) != v.loadInt(b)))
+	v.putBool(d, fr, v.intReg(fr, d.a) != v.intReg(fr, d.b))
 	return nil
 }
 
 func hLtI(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	a, b := fr.regs[d.a], fr.regs[d.b]
-	if cmpFallback(a, b) {
+	if cmpFallback(fr, d) {
 		return v.compare(t, fr, d.src)
 	}
-	ai, bi := v.loadInt(a), v.loadInt(b)
+	ai, bi := v.intReg(fr, d.a), v.intReg(fr, d.b)
 	if d.signed {
-		v.put(d, fr, boolVal(ai < bi))
+		v.putBool(d, fr, ai < bi)
 	} else {
-		v.put(d, fr, boolVal(uint64(ai) < uint64(bi)))
+		v.putBool(d, fr, uint64(ai) < uint64(bi))
 	}
 	return nil
 }
 
 func hLeI(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	a, b := fr.regs[d.a], fr.regs[d.b]
-	if cmpFallback(a, b) {
+	if cmpFallback(fr, d) {
 		return v.compare(t, fr, d.src)
 	}
-	ai, bi := v.loadInt(a), v.loadInt(b)
+	ai, bi := v.intReg(fr, d.a), v.intReg(fr, d.b)
 	if d.signed {
-		v.put(d, fr, boolVal(ai <= bi))
+		v.putBool(d, fr, ai <= bi)
 	} else {
-		v.put(d, fr, boolVal(uint64(ai) <= uint64(bi)))
+		v.putBool(d, fr, uint64(ai) <= uint64(bi))
 	}
 	return nil
 }
 
 func hGtI(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	a, b := fr.regs[d.a], fr.regs[d.b]
-	if cmpFallback(a, b) {
+	if cmpFallback(fr, d) {
 		return v.compare(t, fr, d.src)
 	}
-	ai, bi := v.loadInt(a), v.loadInt(b)
+	ai, bi := v.intReg(fr, d.a), v.intReg(fr, d.b)
 	if d.signed {
-		v.put(d, fr, boolVal(ai > bi))
+		v.putBool(d, fr, ai > bi)
 	} else {
-		v.put(d, fr, boolVal(uint64(ai) > uint64(bi)))
+		v.putBool(d, fr, uint64(ai) > uint64(bi))
 	}
 	return nil
 }
 
 func hGeI(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	a, b := fr.regs[d.a], fr.regs[d.b]
-	if cmpFallback(a, b) {
+	if cmpFallback(fr, d) {
 		return v.compare(t, fr, d.src)
 	}
-	ai, bi := v.loadInt(a), v.loadInt(b)
+	ai, bi := v.intReg(fr, d.a), v.intReg(fr, d.b)
 	if d.signed {
-		v.put(d, fr, boolVal(ai >= bi))
+		v.putBool(d, fr, ai >= bi)
 	} else {
-		v.put(d, fr, boolVal(uint64(ai) >= uint64(bi)))
+		v.putBool(d, fr, uint64(ai) >= uint64(bi))
 	}
 	return nil
 }
 
 func hNot(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	v.put(d, fr, boolVal(!fr.regs[d.a].Truthy()))
+	v.putBool(d, fr, !fr.truthy(d.a))
 	return nil
 }
 
 func hCall(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	args := v.gatherArgs(fr, d.args)
-	return v.pushCall(t, d.callee, args, nil, d.dst)
+	return v.call(t, fr, d.callee, d.args, nil, d.dst)
 }
 
 func hCallClosure(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	cl := fr.regs[d.a]
-	if cl.K != KRef || cl.R.Kind != OClosure {
-		return trapf("calling a non-function value %s", cl.String())
-	}
-	if err := v.checkRegion(cl.R); err != nil {
-		return err
-	}
-	args := v.gatherArgs(fr, d.args)
-	return v.pushCall(t, v.dfuncs[cl.R.Fn], args, cl.R.Elems, d.dst)
+	return v.callClosure(t, fr, d.a, d.args, d.dst)
 }
 
 func hVecLen(v *VM, t *Thread, fr *Frame, d *dinstr) error {
@@ -503,6 +491,6 @@ func hVecLen(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 	if err != nil {
 		return err
 	}
-	v.put(d, fr, intVal(int64(len(o.Elems))))
+	v.putInt(d, fr, KInt, int64(len(o.Elems)))
 	return nil
 }

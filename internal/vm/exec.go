@@ -27,15 +27,15 @@ func (v *VM) exec(t *Thread, fr *Frame, in *ir.Instr) error {
 		default:
 			val = unitVal()
 		}
-		fr.regs[in.Dst] = v.boxResult(in, val)
+		v.setResult(fr, in, val)
 		return nil
 
 	case ir.OpMov:
-		fr.regs[in.Dst] = fr.regs[in.A]
+		copyReg(fr, in.Dst, fr, in.A)
 		return nil
 
 	case ir.OpGlobalGet:
-		fr.regs[in.Dst] = v.globals[in.Imm]
+		fr.set(in.Dst, v.globals[in.Imm])
 		return nil
 
 	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpMod,
@@ -44,39 +44,30 @@ func (v *VM) exec(t *Thread, fr *Frame, in *ir.Instr) error {
 
 	case ir.OpNeg:
 		if in.Float {
-			fr.regs[in.Dst] = v.boxResult(in, floatVal(-v.loadFloat(fr.regs[in.A])))
+			v.setResult(fr, in, floatVal(-v.loadFloat(fr.get(in.A))))
 			return nil
 		}
-		r := wrap(-v.loadInt(fr.regs[in.A]), in.NumBits, in.Signed)
-		fr.regs[in.Dst] = v.boxResult(in, intVal(r))
+		r := wrap(-v.loadInt(fr.get(in.A)), in.NumBits, in.Signed)
+		v.setResult(fr, in, intVal(r))
 		return nil
 
 	case ir.OpBitNot:
-		r := wrap(^v.loadInt(fr.regs[in.A]), in.NumBits, in.Signed)
-		fr.regs[in.Dst] = v.boxResult(in, intVal(r))
+		r := wrap(^v.loadInt(fr.get(in.A)), in.NumBits, in.Signed)
+		v.setResult(fr, in, intVal(r))
 		return nil
 
 	case ir.OpNot:
-		fr.regs[in.Dst] = v.boxResult(in, boolVal(!fr.regs[in.A].Truthy()))
+		v.setResult(fr, in, boolVal(!fr.get(in.A).Truthy()))
 		return nil
 
 	case ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe:
 		return v.compare(t, fr, in)
 
 	case ir.OpCall:
-		args := v.gatherArgs(fr, in.Args)
-		return v.pushCall(t, v.dfuncs[in.Imm], args, nil, in.Dst)
+		return v.call(t, fr, v.dfuncs[in.Imm], in.Args, nil, in.Dst)
 
 	case ir.OpCallClosure:
-		cl := fr.regs[in.A]
-		if cl.K != KRef || cl.R.Kind != OClosure {
-			return trapf("calling a non-function value %s", cl.String())
-		}
-		if err := v.checkRegion(cl.R); err != nil {
-			return err
-		}
-		args := v.gatherArgs(fr, in.Args)
-		return v.pushCall(t, v.dfuncs[cl.R.Fn], args, cl.R.Elems, in.Dst)
+		return v.callClosure(t, fr, in.A, in.Args, in.Dst)
 
 	case ir.OpCallExtern:
 		return v.callExtern(fr, in)
@@ -85,7 +76,7 @@ func (v *VM) exec(t *Thread, fr *Frame, in *ir.Instr) error {
 		env := v.gatherArgs(fr, in.Args)
 		o := &Object{Kind: OClosure, Fn: int(in.Imm), Elems: env, Region: -1}
 		v.accountAlloc(o, 16+uint64(len(env))*8)
-		fr.regs[in.Dst] = refVal(o)
+		fr.set(in.Dst, refVal(o))
 		return nil
 
 	case ir.OpBuiltin:
@@ -100,7 +91,7 @@ func (v *VM) exec(t *Thread, fr *Frame, in *ir.Instr) error {
 			size = uint64(l.BoxedFootprint())
 		}
 		v.accountAlloc(o, size)
-		fr.regs[in.Dst] = refVal(o)
+		fr.set(in.Dst, refVal(o))
 		return nil
 
 	case ir.OpGetField:
@@ -118,7 +109,7 @@ func (v *VM) exec(t *Thread, fr *Frame, in *ir.Instr) error {
 		} else {
 			val = o.Elems[in.Imm]
 		}
-		fr.regs[in.Dst] = val
+		fr.set(in.Dst, val)
 		return nil
 
 	case ir.OpSetField:
@@ -131,9 +122,9 @@ func (v *VM) exec(t *Thread, fr *Frame, in *ir.Instr) error {
 		}
 		v.Stats.FieldWrites++
 		if t.txn != nil {
-			t.txn.write(o, int(in.Imm), fr.regs[in.B])
+			t.txn.write(o, int(in.Imm), fr.get(in.B))
 		} else {
-			o.Elems[in.Imm] = fr.regs[in.B]
+			o.Elems[in.Imm] = fr.get(in.B)
 			o.Version++
 		}
 		return nil
@@ -147,7 +138,7 @@ func (v *VM) exec(t *Thread, fr *Frame, in *ir.Instr) error {
 			size = uint64(ul.Size)
 		}
 		v.accountAlloc(o, size)
-		fr.regs[in.Dst] = refVal(o)
+		fr.set(in.Dst, refVal(o))
 		return nil
 
 	case ir.OpUnionTag:
@@ -155,7 +146,7 @@ func (v *VM) exec(t *Thread, fr *Frame, in *ir.Instr) error {
 		if err != nil {
 			return err
 		}
-		fr.regs[in.Dst] = intVal(int64(o.Tag))
+		fr.set(in.Dst, intVal(int64(o.Tag)))
 		return nil
 
 	case ir.OpUnionField:
@@ -166,29 +157,29 @@ func (v *VM) exec(t *Thread, fr *Frame, in *ir.Instr) error {
 		if int(in.Imm) >= len(o.Elems) {
 			return trapf("union %s arm %s has no field %d", o.UDecl.Name, o.UDecl.Arms[o.Tag].Name, in.Imm)
 		}
-		fr.regs[in.Dst] = o.Elems[in.Imm]
+		fr.set(in.Dst, o.Elems[in.Imm])
 		return nil
 
 	case ir.OpNewVector:
-		n := v.loadInt(fr.regs[in.A])
+		n := v.loadInt(fr.get(in.A))
 		if n < 0 {
 			return trapf("make-vector with negative length %d", n)
 		}
-		fill := fr.regs[in.B]
+		fill := fr.get(in.B)
 		elems := make([]Value, n)
 		for i := range elems {
 			elems[i] = fill
 		}
 		o := &Object{Kind: OVector, Elems: elems, Region: v.regionOf(fr, in)}
 		v.accountAlloc(o, 16+uint64(n)*v.elemSize(in.Type))
-		fr.regs[in.Dst] = refVal(o)
+		fr.set(in.Dst, refVal(o))
 		return nil
 
 	case ir.OpVectorLit:
 		elems := v.gatherArgs(fr, in.Args)
 		o := &Object{Kind: OVector, Elems: elems, Region: v.regionOf(fr, in)}
 		v.accountAlloc(o, 16+uint64(len(elems))*v.elemSize(in.Type))
-		fr.regs[in.Dst] = refVal(o)
+		fr.set(in.Dst, refVal(o))
 		return nil
 
 	case ir.OpVecRef:
@@ -196,15 +187,15 @@ func (v *VM) exec(t *Thread, fr *Frame, in *ir.Instr) error {
 		if err != nil {
 			return err
 		}
-		i := v.loadInt(fr.regs[in.B])
+		i := v.loadInt(fr.get(in.B))
 		if i < 0 || i >= int64(len(o.Elems)) {
 			return trapf("vector index %d out of range 0..%d", i, len(o.Elems)-1)
 		}
 		v.Stats.VecOps++
 		if t.txn != nil {
-			fr.regs[in.Dst] = t.txn.read(o, int(i))
+			fr.set(in.Dst, t.txn.read(o, int(i)))
 		} else {
-			fr.regs[in.Dst] = o.Elems[i]
+			fr.set(in.Dst, o.Elems[i])
 		}
 		return nil
 
@@ -213,15 +204,15 @@ func (v *VM) exec(t *Thread, fr *Frame, in *ir.Instr) error {
 		if err != nil {
 			return err
 		}
-		i := v.loadInt(fr.regs[in.B])
+		i := v.loadInt(fr.get(in.B))
 		if i < 0 || i >= int64(len(o.Elems)) {
 			return trapf("vector index %d out of range 0..%d", i, len(o.Elems)-1)
 		}
 		v.Stats.VecOps++
 		if t.txn != nil {
-			t.txn.write(o, int(i), fr.regs[in.Args[0]])
+			t.txn.write(o, int(i), fr.get(in.Args[0]))
 		} else {
-			o.Elems[i] = fr.regs[in.Args[0]]
+			o.Elems[i] = fr.get(in.Args[0])
 			o.Version++
 		}
 		return nil
@@ -231,17 +222,17 @@ func (v *VM) exec(t *Thread, fr *Frame, in *ir.Instr) error {
 		if err != nil {
 			return err
 		}
-		fr.regs[in.Dst] = v.boxResult(in, intVal(int64(len(o.Elems))))
+		v.setResult(fr, in, intVal(int64(len(o.Elems))))
 		return nil
 
 	case ir.OpAssert:
-		if !fr.regs[in.A].Truthy() {
+		if !fr.get(in.A).Truthy() {
 			return trapf("%s", in.Str)
 		}
 		return nil
 
 	case ir.OpCast:
-		fr.regs[in.Dst] = v.boxResult(in, v.castValue(fr.regs[in.A], in.Type))
+		v.setResult(fr, in, v.castValue(fr.get(in.A), in.Type))
 		return nil
 
 	case ir.OpRegionEnter:
@@ -251,11 +242,11 @@ func (v *VM) exec(t *Thread, fr *Frame, in *ir.Instr) error {
 		if v.obs != nil {
 			v.obs.Region(t.obs, true, int64(id))
 		}
-		fr.regs[in.Dst] = intVal(int64(id))
+		fr.set(in.Dst, intVal(int64(id)))
 		return nil
 
 	case ir.OpRegionExit:
-		id := v.loadInt(fr.regs[in.A])
+		id := v.loadInt(fr.get(in.A))
 		if id < 0 || id >= int64(len(v.regionsAlive)) || !v.regionsAlive[id] {
 			return trapf("exiting an invalid region")
 		}
@@ -271,7 +262,7 @@ func (v *VM) exec(t *Thread, fr *Frame, in *ir.Instr) error {
 			// send/recv, thread creation is an unbufferable effect.
 			return trapf("spawn inside atomic is not allowed")
 		}
-		cl := fr.regs[in.A]
+		cl := fr.get(in.A)
 		if cl.K != KRef || cl.R.Kind != OClosure {
 			return trapf("spawn needs a closure")
 		}
@@ -279,7 +270,7 @@ func (v *VM) exec(t *Thread, fr *Frame, in *ir.Instr) error {
 		if v.obs != nil {
 			v.obs.Spawn(t.ID, nt.ID, v.mod.Funcs[cl.R.Fn].Name)
 		}
-		fr.regs[in.Dst] = intVal(nt.ID)
+		fr.set(in.Dst, intVal(nt.ID))
 		return nil
 
 	case ir.OpAtomicBegin:
@@ -302,13 +293,27 @@ func (v *VM) exec(t *Thread, fr *Frame, in *ir.Instr) error {
 	}
 }
 
+// callClosure calls the closure in register cl.
+func (v *VM) callClosure(t *Thread, fr *Frame, cl ir.Reg, args []ir.Reg, dst ir.Reg) error {
+	if fr.sc[cl].kind != KRef || fr.rf[cl].r.Kind != OClosure {
+		return trapf("calling a non-function value %s", fr.get(cl).String())
+	}
+	o := fr.rf[cl].r
+	if err := v.checkRegion(o); err != nil {
+		return err
+	}
+	return v.call(t, fr, v.dfuncs[o.Fn], args, o.Elems, dst)
+}
+
+// gatherArgs collects registers into a fresh slice: the element storage of
+// a new closure, struct, union or vector literal.
 func (v *VM) gatherArgs(fr *Frame, regs []ir.Reg) []Value {
 	if len(regs) == 0 {
 		return nil
 	}
 	args := make([]Value, len(regs))
 	for i, r := range regs {
-		args[i] = fr.regs[r]
+		args[i] = fr.get(r)
 	}
 	return args
 }
@@ -318,7 +323,7 @@ func (v *VM) regionOf(fr *Frame, in *ir.Instr) int {
 	if in.Region == ir.NoReg {
 		return -1
 	}
-	return int(v.loadInt(fr.regs[in.Region]))
+	return int(v.loadInt(fr.get(in.Region)))
 }
 
 func (v *VM) accountAlloc(o *Object, bytes uint64) {
@@ -374,7 +379,7 @@ func (v *VM) elemSize(t *types.Type) uint64 {
 // refOperand fetches a KRef operand of the expected object kind, enforcing
 // region liveness.
 func (v *VM) refOperand(fr *Frame, r ir.Reg, kind ObjKind, what string) (*Object, error) {
-	val := fr.regs[r]
+	val := fr.get(r)
 	if val.K != KRef || val.R == nil {
 		return nil, trapf("%s on non-reference value %s", what, val.String())
 	}
@@ -396,7 +401,7 @@ func (v *VM) checkRegion(o *Object) error {
 
 func (v *VM) arith(t *Thread, fr *Frame, in *ir.Instr) error {
 	if in.Float {
-		a, b := v.loadFloat(fr.regs[in.A]), v.loadFloat(fr.regs[in.B])
+		a, b := v.loadFloat(fr.get(in.A)), v.loadFloat(fr.get(in.B))
 		var r float64
 		switch in.Op {
 		case ir.OpAdd:
@@ -412,10 +417,10 @@ func (v *VM) arith(t *Thread, fr *Frame, in *ir.Instr) error {
 		default:
 			return trapf("float %s not supported", in.Op)
 		}
-		fr.regs[in.Dst] = v.boxResult(in, floatVal(r))
+		v.setResult(fr, in, floatVal(r))
 		return nil
 	}
-	a, b := v.loadInt(fr.regs[in.A]), v.loadInt(fr.regs[in.B])
+	a, b := v.loadInt(fr.get(in.A)), v.loadInt(fr.get(in.B))
 	var r int64
 	switch in.Op {
 	case ir.OpAdd:
@@ -457,12 +462,12 @@ func (v *VM) arith(t *Thread, fr *Frame, in *ir.Instr) error {
 			r = int64(uint64(a) >> (uint64(b) & 63))
 		}
 	}
-	fr.regs[in.Dst] = v.boxResult(in, intVal(wrap(r, in.NumBits, in.Signed)))
+	v.setResult(fr, in, intVal(wrap(r, in.NumBits, in.Signed)))
 	return nil
 }
 
 func (v *VM) compare(t *Thread, fr *Frame, in *ir.Instr) error {
-	a, b := fr.regs[in.A], fr.regs[in.B]
+	a, b := fr.get(in.A), fr.get(in.B)
 	var res bool
 	switch {
 	case a.K == KString || b.K == KString:
@@ -541,7 +546,7 @@ func (v *VM) compare(t *Thread, fr *Frame, in *ir.Instr) error {
 			}
 		}
 	}
-	fr.regs[in.Dst] = v.boxResult(in, boolVal(res))
+	v.setResult(fr, in, boolVal(res))
 	return nil
 }
 
@@ -592,13 +597,13 @@ func (v *VM) callExtern(fr *Frame, in *ir.Instr) error {
 	}
 	// Transition prologue: spill the register window and scrub the shadow
 	// stack area, once per pass of the calibrated transition cost.
-	spill := len(fr.regs)
+	spill := len(fr.sc)
 	if spill > len(v.externShadow) {
 		spill = len(v.externShadow)
 	}
 	for pass := 0; pass < transitionPasses; pass++ {
 		for i := 0; i < spill; i++ {
-			v.externShadow[i] = uint64(fr.regs[i].I) ^ uint64(i+pass)
+			v.externShadow[i] = fr.intView(i) ^ uint64(i+pass)
 		}
 		for i := spill; i < len(v.externShadow); i++ {
 			v.externShadow[i] = v.externShadow[i]*2862933555777941757 + uint64(i)
@@ -609,7 +614,7 @@ func (v *VM) callExtern(fr *Frame, in *ir.Instr) error {
 	// boundary copies through the foreign stack/registers.
 	var buf [8]byte
 	for i, r := range in.Args {
-		val := fr.regs[r]
+		val := fr.get(r)
 		var x int64
 		if val.K == KFloat {
 			x = int64(math.Float64bits(v.loadFloat(val)))
@@ -642,13 +647,13 @@ func (v *VM) callExtern(fr *Frame, in *ir.Instr) error {
 	rt := types.Prune(ext.Result)
 	switch rt.Kind {
 	case types.KFloat:
-		fr.regs[in.Dst] = v.boxResult(in, floatVal(math.Float64frombits(uint64(res))))
+		v.setResult(fr, in, floatVal(math.Float64frombits(uint64(res))))
 	case types.KUnit:
-		fr.regs[in.Dst] = unitVal()
+		fr.set(in.Dst, unitVal())
 	case types.KBool:
-		fr.regs[in.Dst] = v.boxResult(in, boolVal(res != 0))
+		v.setResult(fr, in, boolVal(res != 0))
 	default:
-		fr.regs[in.Dst] = v.boxResult(in, intVal(wrap(res, 64, true)))
+		v.setResult(fr, in, intVal(wrap(res, 64, true)))
 	}
 	v.Stats.MarshalledBytes += 8
 	return nil

@@ -39,6 +39,7 @@ func fuseBlock(blk dblock) dblock {
 				f.width = 3
 				f.fused = []dinstr{*c2}
 				f.cond, f.to, f.els = term.cond, term.to, term.els
+				f.straight = false
 				f.label = "fuse[" + c1.label + "+" + c2.label + "+br]"
 				out = append(out, f)
 				blk.termFused = true
@@ -52,6 +53,7 @@ func fuseBlock(blk dblock) dblock {
 			f.base, f.h = c1.h, fCmpBr
 			f.width = 2
 			f.cond, f.to, f.els = term.cond, term.to, term.els
+			f.straight = false
 			f.label = "fuse[" + c1.label + "+br]"
 			out = append(out, f)
 			blk.termFused = true
@@ -105,6 +107,7 @@ func fusePair(c1, c2 *dinstr) (dinstr, bool) {
 	f.base, f.h = c1.h, fPair
 	f.width = 2
 	f.fused = []dinstr{*c2}
+	f.straight = c1.straight && c2.straight
 	f.label = "fuse[" + c1.label + "+" + c2.label + "]"
 	if c1.op == ir.OpConst && c1.val.K == KInt && !c1.boxIt && !c2.boxIt &&
 		c2.bits >= 64 && c2.b == c1.dst {
@@ -146,7 +149,7 @@ func fCmpBr(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 	if err := v.useStep(); err != nil {
 		return err
 	}
-	if fr.regs[d.cond].Truthy() {
+	if fr.truthy(d.cond) {
 		fr.block = d.to
 	} else {
 		fr.block = d.els
@@ -170,7 +173,7 @@ func fTripleBr(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 	if err := v.useStep(); err != nil {
 		return err
 	}
-	if fr.regs[d.cond].Truthy() {
+	if fr.truthy(d.cond) {
 		fr.block = d.to
 	} else {
 		fr.block = d.els
@@ -183,22 +186,22 @@ func fTripleBr(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 // unboxed 64-bit. The constant store stays visible (a later branch target
 // may read it), but the add reads the known immediate directly.
 func fConstAddB(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	fr.regs[d.dst] = d.val
+	fr.sc[d.dst] = d.k
 	e := &d.fused[0]
 	if err := v.tickFused(t, fr, e.op); err != nil {
 		return err
 	}
-	fr.regs[e.dst] = intVal(v.loadInt(fr.regs[e.a]) + d.val.I)
+	fr.setInt(e.dst, KInt, v.intReg(fr, e.a)+d.val.I)
 	return nil
 }
 
 // fConstSubB is the deep const+sub superinstruction (fib's `n-1`/`n-2`).
 func fConstSubB(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	fr.regs[d.dst] = d.val
+	fr.sc[d.dst] = d.k
 	e := &d.fused[0]
 	if err := v.tickFused(t, fr, e.op); err != nil {
 		return err
 	}
-	fr.regs[e.dst] = intVal(v.loadInt(fr.regs[e.a]) - d.val.I)
+	fr.setInt(e.dst, KInt, v.intReg(fr, e.a)-d.val.I)
 	return nil
 }

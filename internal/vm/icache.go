@@ -10,6 +10,7 @@ package vm
 // in bitc-metrics/v1). docs/vm.md states the invalidation rules.
 
 import (
+	"bitc/internal/ir"
 	"bitc/internal/types"
 )
 
@@ -34,30 +35,30 @@ type icache struct {
 }
 
 func hGetField(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	if val := fr.regs[d.a]; val.K == KRef {
-		o := val.R
+	if fr.sc[d.a].kind == KRef {
+		o := fr.rf[d.a].r
 		if o.SDecl != nil && o.SDecl == d.ic.shape && o.Region < 0 && t.txn == nil {
 			v.Stats.ICHits++
 			v.Stats.FieldReads++
-			fr.regs[d.dst] = o.Elems[d.imm]
+			fr.set(d.dst, o.Elems[d.imm])
 			return nil
 		}
 	}
 	v.Stats.ICMisses++
 	err := v.exec(t, fr, d.src)
 	if err == nil {
-		d.ic.fillField(fr.regs[d.a], t)
+		d.ic.fillField(fr, d.a, t)
 	}
 	return err
 }
 
 func hSetField(v *VM, t *Thread, fr *Frame, d *dinstr) error {
-	if val := fr.regs[d.a]; val.K == KRef {
-		o := val.R
+	if fr.sc[d.a].kind == KRef {
+		o := fr.rf[d.a].r
 		if o.SDecl != nil && o.SDecl == d.ic.shape && o.Region < 0 && t.txn == nil {
 			v.Stats.ICHits++
 			v.Stats.FieldWrites++
-			o.Elems[d.imm] = fr.regs[d.b]
+			o.Elems[d.imm] = fr.get(d.b)
 			o.Version++ // STM conflict detection sees cached writes too
 			return nil
 		}
@@ -65,7 +66,7 @@ func hSetField(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 	v.Stats.ICMisses++
 	err := v.exec(t, fr, d.src)
 	if err == nil {
-		d.ic.fillField(fr.regs[d.a], t)
+		d.ic.fillField(fr, d.a, t)
 	}
 	return err
 }
@@ -74,55 +75,55 @@ func hSetField(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 // Region-allocated objects are cacheable for field sites — the fast path
 // re-checks liveness — but transactional accesses are not: the fill would
 // memoize a read that bypasses the read/write buffers.
-func (ic *icache) fillField(val Value, t *Thread) {
-	if t.txn != nil || val.K != KRef {
+func (ic *icache) fillField(fr *Frame, r ir.Reg, t *Thread) {
+	if t.txn != nil || fr.sc[r].kind != KRef {
 		return
 	}
-	ic.shape = val.R.SDecl
+	ic.shape = fr.rf[r].r.SDecl
 }
 
 func hVecRef(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 	ic := d.ic
-	if val := fr.regs[d.a]; val.K == KRef && val.R == ic.obj && t.txn == nil {
+	if o := ic.hit(fr, d.a, t); o != nil {
 		// Once the identity matches, this path is definitive: the index is
 		// loaded exactly once (the box-read accounting must match the slow
 		// path's), and out of bounds traps here with the slow path's message.
-		i := v.loadInt(fr.regs[d.b])
+		i := v.intReg(fr, d.b)
 		if uint64(i) >= uint64(ic.bound) {
 			v.Stats.ICMisses++
 			return trapf("vector index %d out of range 0..%d", i, ic.bound-1)
 		}
 		v.Stats.ICHits++
 		v.Stats.VecOps++
-		fr.regs[d.dst] = val.R.Elems[i]
+		fr.set(d.dst, o.Elems[i])
 		return nil
 	}
 	v.Stats.ICMisses++
 	err := v.exec(t, fr, d.src)
 	if err == nil {
-		ic.fillVec(fr.regs[d.a], t)
+		ic.fillVec(fr, d.a, t)
 	}
 	return err
 }
 
 func hVecSet(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 	ic := d.ic
-	if val := fr.regs[d.a]; val.K == KRef && val.R == ic.obj && t.txn == nil {
-		i := v.loadInt(fr.regs[d.b])
+	if o := ic.hit(fr, d.a, t); o != nil {
+		i := v.intReg(fr, d.b)
 		if uint64(i) >= uint64(ic.bound) {
 			v.Stats.ICMisses++
 			return trapf("vector index %d out of range 0..%d", i, ic.bound-1)
 		}
 		v.Stats.ICHits++
 		v.Stats.VecOps++
-		val.R.Elems[i] = fr.regs[d.args[0]]
-		val.R.Version++
+		o.Elems[i] = fr.get(d.args[0])
+		o.Version++
 		return nil
 	}
 	v.Stats.ICMisses++
 	err := v.exec(t, fr, d.src)
 	if err == nil {
-		ic.fillVec(fr.regs[d.a], t)
+		ic.fillVec(fr, d.a, t)
 	}
 	return err
 }
@@ -135,17 +136,17 @@ func hVecSet(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 // everything but the cycle count.
 func hVecRefElide(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 	ic := d.ic
-	if val := fr.regs[d.a]; val.K == KRef && val.R == ic.obj && t.txn == nil {
-		i := v.loadInt(fr.regs[d.b])
+	if o := ic.hit(fr, d.a, t); o != nil {
+		i := v.intReg(fr, d.b)
 		v.Stats.ICHits++
 		v.Stats.VecOps++
-		fr.regs[d.dst] = val.R.Elems[i]
+		fr.set(d.dst, o.Elems[i])
 		return nil
 	}
 	v.Stats.ICMisses++
 	err := v.exec(t, fr, d.src)
 	if err == nil {
-		ic.fillVec(fr.regs[d.a], t)
+		ic.fillVec(fr, d.a, t)
 	}
 	return err
 }
@@ -153,18 +154,18 @@ func hVecRefElide(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 // hVecSetElide is hVecSet minus the bounds compare; see hVecRefElide.
 func hVecSetElide(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 	ic := d.ic
-	if val := fr.regs[d.a]; val.K == KRef && val.R == ic.obj && t.txn == nil {
-		i := v.loadInt(fr.regs[d.b])
+	if o := ic.hit(fr, d.a, t); o != nil {
+		i := v.intReg(fr, d.b)
 		v.Stats.ICHits++
 		v.Stats.VecOps++
-		val.R.Elems[i] = fr.regs[d.args[0]]
-		val.R.Version++
+		o.Elems[i] = fr.get(d.args[0])
+		o.Version++
 		return nil
 	}
 	v.Stats.ICMisses++
 	err := v.exec(t, fr, d.src)
 	if err == nil {
-		ic.fillVec(fr.regs[d.a], t)
+		ic.fillVec(fr, d.a, t)
 	}
 	return err
 }
@@ -172,10 +173,19 @@ func hVecSetElide(v *VM, t *Thread, fr *Frame, d *dinstr) error {
 // fillVec records the vector identity after a successful slow-path access.
 // Only heap vectors are cached: identity then implies liveness forever, so
 // the hot path carries no region check at all.
-func (ic *icache) fillVec(val Value, t *Thread) {
-	if t.txn != nil || val.K != KRef || val.R.Region >= 0 {
+func (ic *icache) fillVec(fr *Frame, r ir.Reg, t *Thread) {
+	if t.txn != nil || fr.sc[r].kind != KRef || fr.rf[r].r.Region >= 0 {
 		return
 	}
-	ic.obj = val.R
-	ic.bound = int64(len(val.R.Elems))
+	ic.obj = fr.rf[r].r
+	ic.bound = int64(len(ic.obj.Elems))
+}
+
+// hit returns the vector in register r when it is the cached identity and
+// no transaction is open, else nil.
+func (ic *icache) hit(fr *Frame, r ir.Reg, t *Thread) *Object {
+	if fr.sc[r].kind == KRef && fr.rf[r].r == ic.obj && t.txn == nil {
+		return ic.obj
+	}
+	return nil
 }

@@ -1,5 +1,7 @@
 package vm
 
+import "bitc/internal/ir"
+
 // txn is an optimistic software transaction (the atomic form). Reads record
 // the version of each object at first touch; writes are buffered. At commit,
 // if any read object's version moved, the transaction rolls back to its
@@ -9,7 +11,9 @@ type txn struct {
 	reads  map[*Object]uint64
 	writes map[*Object]map[int]Value
 
-	// Rollback snapshot.
+	// Rollback snapshot. regs holds the beginning frame's registers as
+	// Values; it is never written after atomicBegin, so every retry of the
+	// transaction restores from the same slice.
 	frameDepth int
 	block, ip  int
 	regs       []Value
@@ -24,8 +28,10 @@ func (v *VM) atomicBegin(t *Thread, fr *Frame) error {
 		t.txn.depth++
 		return nil
 	}
-	snapRegs := make([]Value, len(fr.regs))
-	copy(snapRegs, fr.regs)
+	snapRegs := make([]Value, len(fr.sc))
+	for i := range snapRegs {
+		snapRegs[i] = fr.get(ir.Reg(i))
+	}
 	t.txn = &txn{
 		reads:      map[*Object]uint64{},
 		writes:     map[*Object]map[int]Value{},
@@ -102,31 +108,28 @@ func (v *VM) atomicRetry(t *Thread) error {
 	if tx.attempts >= maxTxnAttempts {
 		return trapf("transaction aborted %d times; giving up (livelock?)", tx.attempts)
 	}
-	// Unwind any frames pushed inside the transaction and restore registers.
-	if v.obs != nil { // keep the profiler's shadow stack in sync
-		for i := len(t.frames); i > tx.frameDepth; i-- {
+	// Unwind any frames pushed inside the transaction, returning them to
+	// the pool, and restore registers.
+	for i := len(t.frames) - 1; i >= tx.frameDepth; i-- {
+		if v.obs != nil { // keep the profiler's shadow stack in sync
 			v.obs.Leave(t.obs)
 		}
+		v.releaseFrame(t.frames[i])
+		t.frames[i] = nil
 	}
 	t.frames = t.frames[:tx.frameDepth]
 	fr := t.frames[len(t.frames)-1]
-	copy(fr.regs, tx.regs)
+	for i, val := range tx.regs {
+		fr.set(ir.Reg(i), val)
+	}
 	fr.block, fr.ip = tx.block, tx.ip+1 // resume just after OpAtomicBegin
 
-	// Fresh transaction with the same snapshot and an incremented attempt
-	// count (the snapshot registers are immutable — reuse a private copy).
-	snapRegs := make([]Value, len(tx.regs))
-	copy(snapRegs, tx.regs)
-	t.txn = &txn{
-		reads:      map[*Object]uint64{},
-		writes:     map[*Object]map[int]Value{},
-		frameDepth: tx.frameDepth,
-		block:      tx.block,
-		ip:         tx.ip,
-		regs:       snapRegs,
-		depth:      1,
-		attempts:   tx.attempts + 1,
-	}
+	// Start the next attempt on the same snapshot with empty read and
+	// write sets.
+	clear(tx.reads)
+	clear(tx.writes)
+	tx.depth = 1
+	tx.attempts++
 	return nil
 }
 

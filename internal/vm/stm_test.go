@@ -146,7 +146,7 @@ func TestAtomicLivelockTrap(t *testing.T) {
 	mod := stmLoad(t, `(define (main) int64 0)`)
 	v := New(mod, Options{})
 	v.ensureDecoded()
-	fr := &Frame{fn: v.dfuncs[mod.Entry], regs: make([]Value, 4)}
+	fr := &Frame{fn: v.dfuncs[mod.Entry], sc: make([]slot, 4), rf: make([]refSlot, 4)}
 	th := &Thread{ID: 1, frames: []*Frame{fr}}
 	if err := v.atomicBegin(th, fr); err != nil {
 		t.Fatal(err)
@@ -336,5 +336,73 @@ func TestForceAtomicRetries(t *testing.T) {
 	}
 	if v.Stats.TxAborts != 3 {
 		t.Fatalf("aborts grew to %d after the budget was spent", v.Stats.TxAborts)
+	}
+}
+
+// TestAtomicRetryReleasesFrames: frames pushed inside a transaction go back
+// to the pool when a retry unwinds them, and every retry restores from the
+// one snapshot atomicBegin took.
+func TestAtomicRetryReleasesFrames(t *testing.T) {
+	mod := stmLoad(t, `(define (main) int64 0)`)
+	v := New(mod, Options{})
+	v.ensureDecoded()
+	df := v.dfuncs[mod.Entry]
+	fr := v.newFrame(df, ir.NoReg)
+	th := &Thread{ID: 1, frames: []*Frame{fr}}
+	if err := v.atomicBegin(th, fr); err != nil {
+		t.Fatal(err)
+	}
+	snap := th.txn.regs
+	for i := 0; i < 3; i++ {
+		th.frames = append(th.frames, v.newFrame(df, 0))
+	}
+	pushed := append([]*Frame(nil), th.frames[1:]...)
+	if err := v.atomicRetry(th); err != nil {
+		t.Fatal(err)
+	}
+	if len(th.frames) != 1 || th.frames[0] != fr {
+		t.Fatalf("retry left %d frames, want the beginning frame only", len(th.frames))
+	}
+	if len(v.framePool) != len(pushed) {
+		t.Fatalf("frame pool holds %d frames after unwinding %d", len(v.framePool), len(pushed))
+	}
+	for i, p := range pushed {
+		if v.framePool[len(pushed)-1-i] != p {
+			t.Fatalf("unwound frame %d was not released to the pool", i)
+		}
+	}
+	if len(th.txn.regs) != len(snap) || &th.txn.regs[0] != &snap[0] {
+		t.Fatal("retry copied the register snapshot instead of reusing it")
+	}
+}
+
+// TestForcedRetryAllocations: a forced retry of a transaction whose body
+// calls a function allocates only its write buffer — no frame (the record
+// and its two register lanes) and no copy of the snapshot.
+func TestForcedRetryAllocations(t *testing.T) {
+	mod := stmLoad(t, `
+(defstruct cell (v int64))
+(define c cell (make cell :v 0))
+(define (plus (a int64) (b int64)) int64 (+ a b))
+(define (entry (n int64)) int64
+  (atomic (set-field! c v (plus (field c v) n)))
+  (field c v))`)
+	mallocs := func(retries int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			v := New(mod, Options{})
+			v.ForceAtomicRetries(retries)
+			if _, err := v.RunFunc("entry", IntValue(1)); err != nil {
+				t.Fatal(err)
+			}
+			if v.Stats.TxAborts != uint64(retries) {
+				t.Fatalf("aborts = %d, want %d", v.Stats.TxAborts, retries)
+			}
+		})
+	}
+	base, forced := mallocs(0), mallocs(100)
+	perRetry := (forced - base) / 100
+	t.Logf("%.0f mallocs without retries, %.0f with 100 (%.2f per retry)", base, forced, perRetry)
+	if perRetry >= 3 {
+		t.Errorf("%.2f mallocs per forced retry, want < 3 (a frame is 3)", perRetry)
 	}
 }

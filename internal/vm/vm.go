@@ -97,10 +97,12 @@ const (
 // (fn.blocks) — after fusion a slot may cover several source instructions,
 // and every resumption point (STM rollback, blocked-thread wake) is a slot
 // boundary in the same decoded index domain. Under DispatchSwitch, ip
-// instead indexes the raw ir.Instr stream.
+// instead indexes the raw ir.Instr stream. The registers live in two
+// lanes, sc and rf, of length fn.NumRegs; see regs.go.
 type Frame struct {
 	fn    *dfunc
-	regs  []Value
+	sc    []slot    // scalar lane: pointer-free
+	rf    []refSlot // ref lane: strings, objects and boxes
 	block int
 	ip    int
 	dst   ir.Reg // caller register receiving the return value
@@ -337,13 +339,11 @@ func (v *VM) initGlobals() error {
 
 func (v *VM) spawnThread(df *dfunc, args []Value, env []Value) *Thread {
 	f := df.fn
-	fr := &Frame{fn: df, regs: make([]Value, f.NumRegs), dst: ir.NoReg}
-	copy(fr.regs, args)
-	for i, r := range f.CaptureRegs {
-		if i < len(env) {
-			fr.regs[r] = env[i]
-		}
+	fr := v.newFrame(df, ir.NoReg)
+	for i, a := range args {
+		fr.set(ir.Reg(i), a)
 	}
+	fr.setCaptures(env)
 	v.nextTid++
 	t := &Thread{ID: v.nextTid, frames: []*Frame{fr}, state: TRunnable}
 	if v.obs != nil {
@@ -391,28 +391,49 @@ func stateName(s ThreadState) string {
 	}
 }
 
+// pickRunnable chooses the next thread: the only runnable one, or the k-th
+// of several with k drawn from the seeded rng. It counts instead of
+// collecting, so scheduling a quantum allocates nothing.
 func (v *VM) pickRunnable() *Thread {
-	var runnable []*Thread
+	var first *Thread
+	n := 0
 	for _, t := range v.threads {
 		if t.state == TRunnable {
-			runnable = append(runnable, t)
+			if n == 0 {
+				first = t
+			}
+			n++
 		}
 	}
-	if len(runnable) == 0 {
-		return nil
-	}
-	if len(runnable) == 1 {
-		return runnable[0]
+	if n <= 1 {
+		return first
 	}
 	v.Stats.Switches++
-	t := runnable[int(v.rng()%uint64(len(runnable)))]
+	k := int(v.rng() % uint64(n))
+	var t *Thread
+	for _, th := range v.threads {
+		if th.state == TRunnable {
+			if k == 0 {
+				t = th
+				break
+			}
+			k--
+		}
+	}
 	if v.obs != nil {
 		v.obs.Switch(t.ID)
 	}
 	return t
 }
 
-// runQuantum executes up to Quantum instructions on t.
+// runQuantum executes up to Quantum slots (instructions, superinstructions,
+// or terminators) on t. A superinstruction consumes its full width, so
+// fusion can overrun a quantum boundary by at most width-1 instructions but
+// never under-charges the scheduler. The thread's state is re-checked, and
+// its top frame and block re-fetched, only after a slot that may have
+// changed them: a run of straight slots (see dinstr.straight) executes from
+// the current block's code, with budget, Stats.Instrs, the observability
+// tick and quantum accounting still charged per slot.
 func (v *VM) runQuantum(t *Thread) error {
 	v.curThread = t
 	var spanStart uint64
@@ -420,7 +441,10 @@ func (v *VM) runQuantum(t *Thread) error {
 		spanStart = v.obs.Clock()
 	}
 	var err error
-	for n := 0; n < v.opts.Quantum; {
+	quantum := v.opts.Quantum
+	switchMode := v.opts.Dispatch == DispatchSwitch
+run:
+	for n := 0; n < quantum; {
 		if t.state != TRunnable || len(t.frames) == 0 {
 			break
 		}
@@ -428,16 +452,43 @@ func (v *VM) runQuantum(t *Thread) error {
 			t.yielded = false
 			break
 		}
-		if v.stepsLeft == 0 {
-			err = trapf("instruction budget exhausted")
-			break
+		fr := t.frames[len(t.frames)-1]
+		if switchMode {
+			if err = v.useStep(); err != nil {
+				break
+			}
+			n++
+			if err = v.stepSwitch(t, fr); err != nil {
+				break
+			}
+			continue
 		}
-		v.stepsLeft--
-		var consumed int
-		consumed, err = v.step(t)
-		n += consumed
-		if err != nil {
-			break
+		blk := &fr.fn.blocks[fr.block]
+		code := blk.code
+		for {
+			if err = v.useStep(); err != nil {
+				break run
+			}
+			if fr.ip >= len(code) {
+				n++
+				if err = v.terminator(t, fr, &blk.term); err != nil {
+					break run
+				}
+				break
+			}
+			d := &code[fr.ip]
+			fr.ip++
+			v.Stats.Instrs++
+			if v.obs != nil {
+				v.obs.Tick(t.obs, fr.prof, int(d.op))
+			}
+			n += int(d.width)
+			if err = d.h(v, t, fr, d); err != nil {
+				break run
+			}
+			if !d.straight || n >= quantum {
+				break
+			}
 		}
 	}
 	if v.obs != nil {
@@ -446,41 +497,23 @@ func (v *VM) runQuantum(t *Thread) error {
 	return err
 }
 
-// step executes one decoded slot (instruction, superinstruction, or
-// terminator) of t's top frame and returns the number of quantum slots it
-// consumed — a superinstruction consumes its full width, so fusion can
-// overrun a quantum boundary by at most width-1 instructions but never
-// under-charges the scheduler.
-func (v *VM) step(t *Thread) (int, error) {
-	fr := t.frames[len(t.frames)-1]
-	if v.opts.Dispatch == DispatchSwitch {
-		// Legacy baseline: fetch ir.Instr and re-discriminate in exec's
-		// switch, exactly the seed interpreter.
-		blk := fr.fn.fn.Blocks[fr.block]
-		if fr.ip >= len(blk.Instrs) {
-			term := &dterm{kind: blk.Term.Kind, cond: blk.Term.Cond,
-				to: blk.Term.To, els: blk.Term.Else, val: blk.Term.Val}
-			return 1, v.terminator(t, fr, term)
-		}
-		in := &blk.Instrs[fr.ip]
-		fr.ip++
-		v.Stats.Instrs++
-		if v.obs != nil {
-			v.obs.Tick(t.obs, fr.prof, int(in.Op))
-		}
-		return 1, v.exec(t, fr, in)
+// stepSwitch executes one slot of fr under DispatchSwitch, the legacy
+// baseline: fetch ir.Instr and re-discriminate in exec's switch, exactly
+// the seed interpreter.
+func (v *VM) stepSwitch(t *Thread, fr *Frame) error {
+	blk := fr.fn.fn.Blocks[fr.block]
+	if fr.ip >= len(blk.Instrs) {
+		term := &dterm{kind: blk.Term.Kind, cond: blk.Term.Cond,
+			to: blk.Term.To, els: blk.Term.Else, val: blk.Term.Val}
+		return v.terminator(t, fr, term)
 	}
-	blk := &fr.fn.blocks[fr.block]
-	if fr.ip >= len(blk.code) {
-		return 1, v.terminator(t, fr, &blk.term)
-	}
-	d := &blk.code[fr.ip]
+	in := &blk.Instrs[fr.ip]
 	fr.ip++
 	v.Stats.Instrs++
 	if v.obs != nil {
-		v.obs.Tick(t.obs, fr.prof, int(d.op))
+		v.obs.Tick(t.obs, fr.prof, int(in.Op))
 	}
-	return int(d.width), d.h(v, t, fr, d)
+	return v.exec(t, fr, in)
 }
 
 // tickFused charges one original instruction executed inside a
@@ -498,9 +531,10 @@ func (v *VM) tickFused(t *Thread, fr *Frame, op ir.Op) error {
 	return nil
 }
 
-// useStep charges instruction budget without ticking — the fused-in
-// terminator's share, since terminators consume a scheduler slot but are
-// not counted or profiled as instructions.
+// useStep charges one slot of instruction budget without ticking: the
+// dispatch loop's charge per slot, and the fused-in terminator's share,
+// since terminators consume a scheduler slot but are not counted or
+// profiled as instructions.
 func (v *VM) useStep() error {
 	if v.stepsLeft == 0 {
 		return trapf("instruction budget exhausted")
@@ -515,7 +549,7 @@ func (v *VM) terminator(t *Thread, fr *Frame, term *dterm) error {
 		fr.block, fr.ip = term.to, 0
 		return nil
 	case ir.TermBranch:
-		if fr.regs[term.cond].Truthy() {
+		if fr.truthy(term.cond) {
 			fr.block = term.to
 		} else {
 			fr.block = term.els
@@ -523,25 +557,26 @@ func (v *VM) terminator(t *Thread, fr *Frame, term *dterm) error {
 		fr.ip = 0
 		return nil
 	case ir.TermReturn:
-		var result Value
-		if term.val != ir.NoReg {
-			result = fr.regs[term.val]
-		} else {
-			result = unitVal()
-		}
 		t.frames = t.frames[:len(t.frames)-1]
 		if v.obs != nil {
 			v.obs.Leave(t.obs)
 		}
 		if len(t.frames) == 0 {
-			t.result = result
+			t.result = unitVal()
+			if term.val != ir.NoReg {
+				t.result = fr.get(term.val)
+			}
 			t.state = TDone
 			v.wakeJoiners(t)
 			return nil
 		}
 		caller := t.frames[len(t.frames)-1]
 		if fr.dst != ir.NoReg {
-			caller.regs[fr.dst] = result
+			if term.val != ir.NoReg {
+				copyReg(caller, fr.dst, fr, term.val)
+			} else {
+				caller.sc[fr.dst] = slot{kind: KUnit}
+			}
 		}
 		v.releaseFrame(fr)
 		return nil
@@ -561,79 +596,78 @@ func (v *VM) wakeJoiners(done *Thread) {
 const maxFrames = 10000
 
 // newFrame takes a pooled activation record when one fits, else allocates.
+// A pooled frame's ref lane is already clear (releaseFrame), so only the
+// pointer-free scalar lane needs zeroing.
 func (v *VM) newFrame(df *dfunc, dst ir.Reg) *Frame {
-	f := df.fn
+	nregs := df.fn.NumRegs
 	if n := len(v.framePool); n > 0 {
 		fr := v.framePool[n-1]
 		v.framePool = v.framePool[:n-1]
-		if cap(fr.regs) >= f.NumRegs {
-			fr.regs = fr.regs[:f.NumRegs]
-			for i := range fr.regs {
-				fr.regs[i] = Value{}
-			}
+		if cap(fr.sc) >= nregs {
+			fr.sc = fr.sc[:nregs]
+			clear(fr.sc)
+			fr.rf = fr.rf[:nregs]
 		} else {
-			fr.regs = make([]Value, f.NumRegs)
+			fr.sc, fr.rf = make([]slot, nregs), make([]refSlot, nregs)
 		}
 		fr.fn, fr.dst, fr.block, fr.ip = df, dst, 0, 0
 		fr.prof = nil
 		return fr
 	}
-	return &Frame{fn: df, regs: make([]Value, f.NumRegs), dst: dst}
+	return &Frame{fn: df, sc: make([]slot, nregs), rf: make([]refSlot, nregs), dst: dst}
 }
 
-// releaseFrame returns an activation record to the pool.
+// releaseFrame returns an activation record to the pool, clearing its ref
+// lane so a pooled frame keeps no heap object alive.
 func (v *VM) releaseFrame(fr *Frame) {
 	if len(v.framePool) < 64 {
+		clear(fr.rf)
 		v.framePool = append(v.framePool, fr)
 	}
 }
 
-func (v *VM) pushCall(t *Thread, df *dfunc, args []Value, env []Value, dst ir.Reg) error {
+// setCaptures loads a closure environment into the frame's capture
+// registers.
+func (fr *Frame) setCaptures(env []Value) {
+	for i, r := range fr.fn.fn.CaptureRegs {
+		if i < len(env) {
+			fr.set(r, env[i])
+		}
+	}
+}
+
+// call pushes an activation of df on t. The arguments are copied straight
+// from the caller's registers into the callee's parameter registers, and
+// env (a closure's captures, or nil) into its capture registers: a call
+// allocates nothing once the frame pool is warm.
+func (v *VM) call(t *Thread, caller *Frame, df *dfunc, args []ir.Reg, env []Value, dst ir.Reg) error {
 	if len(t.frames) >= maxFrames {
 		return trapf("stack overflow: more than %d frames", maxFrames)
 	}
-	f := df.fn
 	fr := v.newFrame(df, dst)
-	copy(fr.regs, args)
-	for i, r := range f.CaptureRegs {
-		if i < len(env) {
-			fr.regs[r] = env[i]
-		}
+	for i, r := range args {
+		copyReg(fr, ir.Reg(i), caller, r)
 	}
+	fr.setCaptures(env)
 	t.frames = append(t.frames, fr)
 	v.Stats.Calls++
 	if v.obs != nil {
-		fr.prof = v.obs.FuncProf(f.Name)
+		fr.prof = v.obs.FuncProf(df.fn.Name)
 		v.obs.Enter(t.obs, fr.prof)
 	}
 	return nil
 }
 
-// boxResult applies the uniform-representation cost to a freshly computed
-// scalar: allocate its box and route the value through it.
-func (v *VM) boxResult(in *ir.Instr, val Value) Value {
-	if v.opts.Mode != Boxed {
-		return val
+// setResult stores a freshly computed scalar into in.Dst, applying the
+// uniform-representation cost in Boxed mode: allocate its box and route the
+// value through it.
+func (v *VM) setResult(fr *Frame, in *ir.Instr, val Value) {
+	if v.opts.Mode == Boxed && !(v.opts.RespectNoBox && in.NoBox) && boxableKind(val.K) {
+		s := scalarOf(val)
+		v.boxInto(fr, in.Dst, s.kind, s.bits)
+		return
 	}
-	if v.opts.RespectNoBox && in.NoBox {
-		return val
-	}
-	switch val.K {
-	case KInt, KBool, KChar:
-		val.b = &box{i: val.I}
-		v.Stats.BoxAllocs++
-		v.Stats.BoxBytes += 16
-	case KFloat:
-		val.b = &box{f: val.F}
-		v.Stats.BoxAllocs++
-		v.Stats.BoxBytes += 16
-	default:
-		return val
-	}
-	if v.obs != nil {
-		v.obsAlloc("box", 16)
-	}
-	return val
+	fr.set(in.Dst, val)
 }
 
 // obsAlloc charges an allocation to the currently executing function. The

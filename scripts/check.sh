@@ -102,8 +102,11 @@ rm -f /tmp/bitc-serve-shard.bitc /tmp/bitc-serve-twopc.bitc
 # the legacy switch baseline on values, traps, counters, and observer
 # streams over the kernel + example corpus, and the pinned fusion listings
 # of two E1 kernels must not drift silently (regenerate with -update and
-# review the diff; see docs/vm.md).
-go test -count=1 -run 'TestDispatchDifferential|TestDisasmGolden' ./internal/vm
+# review the diff; see docs/vm.md). The counter golden pins every Stats
+# field, result and output of the E1 kernels and the thread/STM programs
+# across builds, and the allocation tests hold calls, boxed execution and
+# scheduling to their allocation budgets.
+go test -count=1 -run 'TestDispatchDifferential|TestDisasmGolden|TestVMCounterGolden|TestCallsAllocateNothing|TestBoxedAllocatesOnlyBoxes|TestSchedulingAllocatesNothing|TestForcedRetryAllocations' ./internal/vm
 
 # Bounds & provenance gate: the relational prover must (1) hold the E1
 # kernels' discharge rate above the 60% floor and keep the PROV001
