@@ -1,7 +1,8 @@
 // bitc analyze's incremental modes: the polling -watch daemon, the
 // -verify-cache correctness gate, and the -warm primed-cache run. All three
 // stand on core.LoadAnalysis (parse + type-check only; the analyzers never
-// need compiled code) and core.AnalyzeWithStore, the incremental driver.
+// need compiled code) and core.AnalyzeWithStore, the analysis driver run
+// against a fact store.
 package main
 
 import (

@@ -18,7 +18,7 @@ import (
 // through the Andersen points-to results. Races are whole-program (they need
 // cross-function spawn reachability); lifetimes consume the shared points-to
 // sets but check one function body at a time, so the escape analyzer fans
-// out per function and the incremental driver can cache and invalidate its
+// out per function and the driver can cache and invalidate its
 // findings per function.
 
 // CodeRace is emitted for a lockset race between two shared accesses.

@@ -14,8 +14,8 @@ import (
 // service runs over it (internal/serve). It consumes only the whole-program
 // aggregates the summary engine derives — SharedAccesses, AtomicEffects,
 // NestedAtomics, RetryLoops, LockEdges — never a per-function summary
-// directly: the aggregates are exactly the facts both drivers fold, and the
-// incremental driver caches them whole.
+// directly: the aggregates are exactly the facts the driver folds and caches
+// whole.
 //
 //   - BITC-ATOM001: a shared location is managed by atomic regions somewhere
 //     in the program, but a write reaches it outside any atomic. The bare

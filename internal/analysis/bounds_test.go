@@ -192,29 +192,37 @@ func TestBoundsE1Discharge(t *testing.T) {
 	}
 }
 
-// TestBoundsProofsWarmIdentity checks the cached proof path returns the
-// same proof set as the cold path, and that a warm re-run recomputes
-// nothing (all per-function probes hit).
+// TestBoundsProofsWarmIdentity checks that a nil store, a fresh store and
+// a warm store primed by an earlier run return the same proof set, and that
+// the warm run recomputes nothing (all per-function probes hit).
 func TestBoundsProofsWarmIdentity(t *testing.T) {
 	src, _ := bench.KernelSource("insertion-sort")
 	prog, info := checkSrc(t, src)
-	cold := analysis.BoundsProofs(prog, info)
+	none := analysis.BoundsProofsWithStore(prog, info, nil)
+	if none.Sites == 0 || none.Proved == 0 {
+		t.Fatalf("kernel has %d/%d proved sites; the identity check needs some", none.Proved, none.Sites)
+	}
 
+	fresh := analysis.BoundsProofsWithStore(prog, info, factstore.New())
 	store := factstore.New()
-	first := analysis.BoundsProofsWithStore(prog, info, store)
+	analysis.BoundsProofsWithStore(prog, info, store)
+	before := store.Stats()
 	warm := analysis.BoundsProofsWithStore(prog, info, store)
+	if puts := store.Stats().Puts - before.Puts; puts != 0 {
+		t.Errorf("warm run recomputed %d proofs", puts)
+	}
 
-	for _, ps := range []*analysis.BoundsProofSet{first, warm} {
-		if ps.Sites != cold.Sites || ps.Proved != cold.Proved {
-			t.Fatalf("stored run disagrees with cold run: %d/%d vs %d/%d",
-				ps.Proved, ps.Sites, cold.Proved, cold.Sites)
+	for name, ps := range map[string]*analysis.BoundsProofSet{"fresh": fresh, "warm": warm} {
+		if ps.Sites != none.Sites || ps.Proved != none.Proved {
+			t.Fatalf("%s store disagrees with nil store: %d/%d vs %d/%d",
+				name, ps.Proved, ps.Sites, none.Proved, none.Sites)
 		}
-		if len(ps.Elidable()) != len(cold.Elidable()) {
-			t.Fatalf("elidable set size drifted: %d vs %d", len(ps.Elidable()), len(cold.Elidable()))
+		if len(ps.Elidable()) != len(none.Elidable()) {
+			t.Fatalf("%s store: elidable set size drifted: %d vs %d", name, len(ps.Elidable()), len(none.Elidable()))
 		}
-		for pos := range cold.Elidable() {
+		for pos := range none.Elidable() {
 			if !ps.Elidable()[pos] {
-				t.Fatalf("position %d missing from stored proof set", pos)
+				t.Fatalf("%s store: position %d missing from proof set", name, pos)
 			}
 		}
 	}

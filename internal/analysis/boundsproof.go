@@ -36,7 +36,7 @@ type BoundsProofSet struct {
 func (ps *BoundsProofSet) Elidable() map[int]bool { return ps.elidable }
 
 // BoundsProofs runs the bounds prover over every function and returns the
-// proof set. It is independent of the finding drivers so the VM path can ask
+// proof set. It is independent of the finding driver so the VM path can ask
 // for proofs without assembling a report.
 func BoundsProofs(prog *ast.Program, info *types.Info) *BoundsProofSet {
 	return BoundsProofsWithStore(prog, info, nil)
@@ -53,11 +53,12 @@ type cachedProofSite struct {
 	Proved bool
 }
 
-// BoundsProofsWithStore is BoundsProofs backed by the incremental fact
-// store: per-function proof sites are cached under the function's content
-// key, its free-name environment signature, and its points-to flow
-// component key — exactly the inputs the engine's verdicts depend on — so a
-// warm call recomputes nothing and returns an identical proof set.
+// BoundsProofsWithStore is BoundsProofs backed by the fact store:
+// per-function proof sites are cached under the function's content key, its
+// free-name environment signature, and its points-to flow component key —
+// exactly the inputs the engine's verdicts depend on — so a warm call
+// recomputes nothing and returns an identical proof set. A nil store misses
+// every site and hashes no key.
 func BoundsProofsWithStore(prog *ast.Program, info *types.Info, store *factstore.Store) *BoundsProofSet {
 	var funcs []*ast.DefineFunc
 	for _, d := range prog.Defs {
@@ -65,50 +66,15 @@ func BoundsProofsWithStore(prog *ast.Program, info *types.Info, store *factstore
 			funcs = append(funcs, fn)
 		}
 	}
-	ps := &BoundsProofSet{elidable: map[int]bool{}}
-
-	record := func(ix *factstore.Index, cp *cachedProofs) {
-		for _, s := range cp.Sites {
-			ps.Sites++
-			if s.Proved {
-				ps.Proved++
-				sp := ix.Abs(s.Span)
-				ps.elidable[int(sp.Start)+1] = true
-			}
-		}
-	}
-	prove := func(fn *ast.DefineFunc, ix *factstore.Index,
-		cfgs map[*ast.DefineFunc]*cfg.Graph, pts *pointsto.Result) *cachedProofs {
-		eng := newBoundsEngine(info, cfgs[fn], pts, fn.Name)
-		cp := &cachedProofs{}
-		for _, s := range eng.analyze() {
-			cp.Sites = append(cp.Sites, cachedProofSite{
-				Span: ix.Rel(s.span), Proved: s.verdict == siteProved,
-			})
-		}
-		return cp
-	}
-
-	if store == nil {
-		ix := factstore.NewIndex(prog)
-		cfgs := make(map[*ast.DefineFunc]*cfg.Graph, len(funcs))
-		for _, fn := range funcs {
-			cfgs[fn] = cfg.Build(fn)
-		}
-		pts := pointsto.Analyze(prog, info, cfgs)
-		for _, fn := range funcs {
-			record(ix, prove(fn, ix, cfgs, pts))
-		}
-		return ps
-	}
-
 	store.BeginRun()
-	k := buildKeys(prog, info, store, funcs, true)
+	k := buildKeys(prog, info, store, funcs, store != nil)
 	key := make([]string, len(funcs))
 	proofs := make([]*cachedProofs, len(funcs))
 	anyMiss := false
 	for fi := range funcs {
-		key[fi] = "bp\x00" + k.funcKey[fi] + k.envSig[fi] + k.compKey[k.fnComp[fi]]
+		if store != nil {
+			key[fi] = "bp\x00" + k.funcKey[fi] + k.envSig[fi] + k.compKey[k.fnComp[fi]]
+		}
 		if v, ok := store.Get(key[fi]); ok {
 			proofs[fi] = v.(*cachedProofs)
 		} else {
@@ -124,14 +90,28 @@ func BoundsProofsWithStore(prog *ast.Program, info *types.Info, store *factstore
 		}
 		pts := pointsto.Analyze(prog, info, cfgs)
 		for fi, fn := range funcs {
-			if proofs[fi] == nil {
-				proofs[fi] = prove(fn, k.ix, cfgs, pts)
-				store.Put(key[fi], proofs[fi])
+			if proofs[fi] != nil {
+				continue
 			}
+			cp := &cachedProofs{}
+			for _, s := range newBoundsEngine(info, cfgs[fn], pts, fn.Name).analyze() {
+				cp.Sites = append(cp.Sites, cachedProofSite{
+					Span: k.ix.Rel(s.span), Proved: s.verdict == siteProved,
+				})
+			}
+			proofs[fi] = cp
+			store.Put(key[fi], cp)
 		}
 	}
-	for fi := range funcs {
-		record(k.ix, proofs[fi])
+	ps := &BoundsProofSet{elidable: map[int]bool{}}
+	for _, cp := range proofs {
+		for _, s := range cp.Sites {
+			ps.Sites++
+			if s.Proved {
+				ps.Proved++
+				ps.elidable[int(k.ix.Abs(s.Span).Start)+1] = true
+			}
+		}
 	}
 	return ps
 }

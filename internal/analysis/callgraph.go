@@ -22,49 +22,10 @@ type CallGraph struct {
 	CalledByOther map[string]bool
 }
 
-// BuildCallGraph scans a program's function bodies.
-func BuildCallGraph(prog *ast.Program) *CallGraph {
-	g := &CallGraph{
-		Funcs:         map[string]*ast.DefineFunc{},
-		Callees:       map[string][]string{},
-		CalledByOther: map[string]bool{},
-	}
-	for _, d := range prog.Defs {
-		if fn, ok := d.(*ast.DefineFunc); ok {
-			g.Funcs[fn.Name] = fn
-			g.Names = append(g.Names, fn.Name)
-		}
-	}
-	sort.Strings(g.Names)
-	for _, name := range g.Names {
-		fn := g.Funcs[name]
-		seen := map[string]bool{}
-		for _, body := range fn.Body {
-			ast.Walk(body, func(e ast.Expr) bool {
-				if call, ok := e.(*ast.Call); ok {
-					if v, ok := call.Fn.(*ast.VarRef); ok && g.Funcs[v.Name] != nil {
-						if !seen[v.Name] {
-							seen[v.Name] = true
-							g.Callees[name] = append(g.Callees[name], v.Name)
-						}
-						if v.Name != name {
-							g.CalledByOther[v.Name] = true
-						}
-					}
-				}
-				return true
-			})
-		}
-		sort.Strings(g.Callees[name])
-	}
-	return g
-}
-
 // NewCallGraphFromCallees builds a call graph without walking any AST:
 // calleesOf returns, for each defined function's name, the call heads
-// observed in its body (unsorted and unfiltered — typically cached traits).
-// Heads that are not defined functions are dropped, so the result is
-// identical to BuildCallGraph over the same program.
+// observed in its body (unsorted and unfiltered — the function's traits).
+// Heads that are not defined functions are dropped.
 func NewCallGraphFromCallees(prog *ast.Program, calleesOf func(name string) []string) *CallGraph {
 	g := &CallGraph{
 		Funcs:         make(map[string]*ast.DefineFunc, len(prog.Defs)),

@@ -93,75 +93,16 @@ type task struct {
 	slot     int // index into the results slice, fixed before scheduling
 }
 
-// Run executes the selected analyzers over a checked program. Per-function
-// analyzers fan out one task per function; tasks run on a bounded worker
-// pool. Each task writes into its own pre-assigned result slot, and the
-// merged findings are sorted, so the report does not depend on scheduling.
+// Run executes the selected analyzers over a checked program without a fact
+// store: RunWithStore with nothing cached and nothing kept.
 func Run(prog *ast.Program, info *types.Info, opts Options) (*Report, error) {
-	selected, err := opts.Selected()
-	if err != nil {
-		return nil, err
-	}
-	var funcs []*ast.DefineFunc
-	for _, d := range prog.Defs {
-		if fn, ok := d.(*ast.DefineFunc); ok {
-			funcs = append(funcs, fn)
-		}
-	}
-
-	// Shared prerequisites are computed once, sequentially, before the pool
-	// starts: function summaries must exist before any interprocedural pass
-	// runs, CFGs are shared read-only by every flow-sensitive pass, and the
-	// points-to results feed both the lifetime checkers and the alias-aware
-	// summaries. All are deterministic, so they do not disturb the
-	// byte-identical-report guarantee.
-	needCFG, needPts, needSums := false, false, false
-	for _, a := range selected {
-		needCFG = needCFG || a.NeedsCFG
-		needPts = needPts || a.NeedsPointsTo
-		needSums = needSums || a.NeedsSummaries
-	}
-	// The points-to analysis is built over the CFGs, and the summaries
-	// resolve aliased shared accesses through the points-to sets.
-	needCFG = needCFG || needPts || needSums
-	needPts = needPts || needSums
-
-	var cfgs map[*ast.DefineFunc]*cfg.Graph
-	var pts *pointsto.Result
-	var summaries *Summaries
-	if needCFG {
-		cfgs = make(map[*ast.DefineFunc]*cfg.Graph, len(funcs))
-		for _, fn := range funcs {
-			cfgs[fn] = cfg.Build(fn)
-		}
-	}
-	if needPts {
-		pts = pointsto.Analyze(prog, info, cfgs)
-	}
-	if needSums {
-		summaries = ComputeSummaries(prog, info, pts)
-	}
-
-	var tasks []task
-	for _, a := range selected {
-		if a.PerFunction {
-			for _, fn := range funcs {
-				tasks = append(tasks, task{analyzer: a, fn: fn, slot: len(tasks)})
-			}
-		} else {
-			tasks = append(tasks, task{analyzer: a, slot: len(tasks)})
-		}
-	}
-
-	results := make([][]Finding, len(tasks))
-	execTasks(prog, info, cfgs, pts, summaries, tasks, results, opts.Parallelism)
-	return assembleReport(prog, opts, selected, results), nil
+	return RunWithStore(prog, info, opts, nil)
 }
 
 // execTasks runs tasks on a bounded worker pool, writing each task's
 // findings into results[t.slot]. Slots not covered by a task are left
-// untouched, so the incremental driver can pre-fill them from the cache and
-// submit only the dirty remainder.
+// untouched, so the driver can pre-fill them from the fact store and submit
+// only the dirty remainder.
 func execTasks(prog *ast.Program, info *types.Info, cfgs map[*ast.DefineFunc]*cfg.Graph,
 	pts *pointsto.Result, summaries *Summaries, tasks []task, results [][]Finding, parallelism int) {
 
@@ -211,9 +152,9 @@ func execTasks(prog *ast.Program, info *types.Info, cfgs map[*ast.DefineFunc]*cf
 }
 
 // assembleReport merges per-slot findings into the final report: severity
-// filter, suppression split, deterministic sort. Both drivers funnel
-// through here, which is what makes a cached run byte-identical to a cold
-// one.
+// filter, suppression split, deterministic sort. Cached and recomputed
+// slots alike pass through here, which is what makes a warm run
+// byte-identical to a cold one.
 func assembleReport(prog *ast.Program, opts Options, selected []*Analyzer, results [][]Finding) *Report {
 	rep := &Report{File: prog.File, Strict: opts.Strict}
 	for _, a := range selected {

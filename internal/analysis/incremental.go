@@ -14,10 +14,13 @@ import (
 	"bitc/internal/types"
 )
 
-// The incremental driver. RunWithStore produces a report byte-identical to
-// Run's, but pulls per-function facts (syntactic traits, bottom-up
-// summaries, per-function findings) from a content-hashed fact store and
-// recomputes only what an edit actually invalidated.
+// The analysis driver. RunWithStore is the only driver body: Run calls it
+// with a nil store. Given a store, it pulls per-function facts (syntactic
+// traits, bottom-up summaries, per-function findings) from the
+// content-hashed fact cache and recomputes only what an edit actually
+// invalidated. Without one, every probe misses, no content key is hashed,
+// no flow component is built, and every function and SCC is recomputed
+// through the same code.
 //
 // The key scheme, bottom of this file's pyramid first:
 //
@@ -71,18 +74,24 @@ import (
 // expensive substrate they stand on — points-to sets and bottom-up
 // summaries — is sliced and cached, so their rerun is a cheap fold.
 
-// RunWithStore executes the selected analyzers like Run, using store as a
-// fact cache across calls. A nil store degenerates to Run. The store may be
-// shared across programs; keys are content-addressed, so cross-program
-// collisions are impossible and cross-edit sharing is automatic.
+// RunWithStore executes the selected analyzers over a checked program,
+// using store as a fact cache across calls. Per-function analyzers fan out
+// one task per function on a bounded worker pool; each task writes into its
+// own pre-assigned result slot and the merged findings are sorted, so the
+// report does not depend on scheduling or on what the store held. A nil
+// store caches nothing. The store may be shared across programs; keys are
+// content-addressed, so cross-program collisions are impossible and
+// cross-edit sharing is automatic.
 func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *factstore.Store) (*Report, error) {
-	if store == nil {
-		return Run(prog, info, opts)
-	}
 	selected, err := opts.Selected()
 	if err != nil {
 		return nil, err
 	}
+	return run(prog, info, opts, selected, store), nil
+}
+
+// run is RunWithStore over an already resolved analyzer selection.
+func run(prog *ast.Program, info *types.Info, opts Options, selected []*Analyzer, store *factstore.Store) *Report {
 	store.BeginRun()
 
 	var funcs []*ast.DefineFunc
@@ -92,6 +101,10 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 		}
 	}
 
+	// CFGs are shared read-only by every flow-sensitive pass, the points-to
+	// analysis is built over them, and the summaries resolve aliased shared
+	// accesses through the points-to sets; all of it is built before the
+	// pool starts.
 	needCFG, needPts, needSums := false, false, false
 	for _, a := range selected {
 		needCFG = needCFG || a.NeedsCFG
@@ -103,30 +116,28 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 
 	k := buildKeys(prog, info, store, funcs, needSums || needPts)
 
-	// Lay out result slots exactly as Run would (selection order; a
-	// per-function analyzer owns len(funcs) consecutive slots), then split
-	// the per-function analyzers into the bundled cacheable set and the
-	// always-run remainder. A per-function analyzer that consumed
-	// whole-program summaries would be unsound to cache per function; none
-	// exists, but fail open if one appears.
+	// Lay out result slots (selection order; a per-function analyzer owns
+	// len(funcs) consecutive slots), then split the per-function analyzers
+	// into the bundled cacheable set and the always-run remainder. A
+	// per-function analyzer that consumed whole-program summaries would be
+	// unsound to cache per function; none exists, but fail open if one
+	// appears.
 	nslots := 0
-	baseSlot := map[string]int{}
-	var pending []task
-	var bundled, alwaysFn []*Analyzer
-	bundlePts := false
+	baseSlot := make([]int, len(selected))
+	var bundleBase []int // first slot of each bundled analyzer
 	var bundleNames []string
-	for _, a := range selected {
+	bundlePts, alwaysFn := false, false
+	for i, a := range selected {
+		baseSlot[i] = nslots
 		if !a.PerFunction {
-			pending = append(pending, task{analyzer: a, slot: nslots})
 			nslots++
 			continue
 		}
-		baseSlot[a.Name] = nslots
 		nslots += len(funcs)
 		if a.NeedsSummaries {
-			alwaysFn = append(alwaysFn, a)
+			alwaysFn = true
 		} else {
-			bundled = append(bundled, a)
+			bundleBase = append(bundleBase, baseSlot[i])
 			bundlePts = bundlePts || a.NeedsPointsTo
 			bundleNames = append(bundleNames, a.Name)
 		}
@@ -135,44 +146,58 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 	bundleSig := strings.Join(bundleNames, ",")
 
 	// Probe the per-function finding bundles. A hit fills every bundled
-	// analyzer's slot for that function; a miss becomes one pool task per
-	// bundled analyzer. A missed function whose bundle embeds points-to
-	// facts drags its whole flow component into the demand slice
-	// (ptsDirty); any miss forces that function's CFG (cfgDirty).
+	// analyzer's slot for that function; a miss leaves them to the pool. A
+	// missed function whose bundle embeds points-to facts drags its whole
+	// flow component into the demand slice (ptsDirty); any miss forces that
+	// function's CFG (cfgDirty). Without a store there is nothing to probe,
+	// so no key is built and every function misses.
 	ptsDirty := make([]bool, len(funcs))
 	cfgDirty := make([]bool, len(funcs))
 	anyPtsDirty := false
+	missed := make([]bool, len(funcs))
 	missKey := make([]string, len(funcs))
-	for fi, fn := range funcs {
-		if len(bundled) > 0 {
-			key := "fb\x00" + bundleSig + "\x00" + k.funcKey[fi] + k.envSig[fi]
+	for fi := range funcs {
+		if alwaysFn {
+			ptsDirty[fi], cfgDirty[fi], anyPtsDirty = true, true, true
+		}
+		if len(bundleBase) == 0 {
+			continue
+		}
+		var key string
+		if store != nil {
+			key = "fb\x00" + bundleSig + "\x00" + k.funcKey[fi] + k.envSig[fi]
 			if bundlePts {
 				key += k.compKey[k.fnComp[fi]]
 			}
-			if v, ok := store.Get(key); ok {
-				cb := v.(*cachedBundle)
-				for ai, a := range bundled {
-					results[baseSlot[a.Name]+fi] = decodeFindings(k.ix, cb.ByAnalyzer[ai])
-				}
-			} else {
-				missKey[fi] = key
-				for _, a := range bundled {
-					pending = append(pending, task{analyzer: a, fn: fn, slot: baseSlot[a.Name] + fi})
-				}
-				if bundlePts {
-					ptsDirty[fi] = true
-					anyPtsDirty = true
-				}
-				cfgDirty[fi] = true
-			}
 		}
-		for _, a := range alwaysFn {
-			pending = append(pending, task{analyzer: a, fn: fn, slot: baseSlot[a.Name] + fi})
-			if a.NeedsPointsTo || a.NeedsSummaries {
-				ptsDirty[fi] = true
-				anyPtsDirty = true
+		if v, ok := store.Get(key); ok {
+			cb := v.(*cachedBundle)
+			for ai, base := range bundleBase {
+				results[base+fi] = decodeFindings(k.ix, cb.ByAnalyzer[ai])
 			}
-			cfgDirty[fi] = true
+			continue
+		}
+		missed[fi], missKey[fi] = true, key
+		if bundlePts {
+			ptsDirty[fi], anyPtsDirty = true, true
+		}
+		cfgDirty[fi] = true
+	}
+
+	// Queue the remaining work in slot order, one analyzer's functions after
+	// another's: on the driver benchmark, workers running one analyzer side
+	// by side finished sooner than workers splitting one function's
+	// analyzers.
+	var pending []task
+	for i, a := range selected {
+		if !a.PerFunction {
+			pending = append(pending, task{analyzer: a, slot: baseSlot[i]})
+			continue
+		}
+		for fi, fn := range funcs {
+			if a.NeedsSummaries || missed[fi] {
+				pending = append(pending, task{analyzer: a, fn: fn, slot: baseSlot[i] + fi})
+			}
 		}
 	}
 
@@ -209,12 +234,20 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 
 	// Demand points-to over the dirty components only. The slice must be a
 	// union of whole components for the restricted fixpoint to be exact.
+	// Without a store there are no components: they exist to key facts and
+	// slice the solve, and with every function dirty the slice would be the
+	// whole program, so the whole program is solved directly.
 	var cfgs map[*ast.DefineFunc]*cfg.Graph
 	var pts *pointsto.Result
 	if needCFG {
 		cfgs = make(map[*ast.DefineFunc]*cfg.Graph)
 	}
-	if needPts && anyPtsDirty {
+	if needPts && anyPtsDirty && k.comps == nil {
+		for _, fn := range funcs {
+			cfgs[fn] = cfg.Build(fn)
+		}
+		pts = pointsto.Analyze(prog, info, cfgs)
+	} else if needPts && anyPtsDirty {
 		compSet := map[int]bool{}
 		for fi := range funcs {
 			if ptsDirty[fi] && k.fnComp[fi] >= 0 {
@@ -250,12 +283,12 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 	// slice. The builder sees only the direct out-of-SCC callees of dirty
 	// members (a callee's finished summary already folds everything below
 	// it), and computeSCC replaces every member, so a partial hit in a dirty
-	// SCC never shadows the fresh result. The whole-program fold is shared
-	// with Run; its output is a pure function of every summary's value, each
-	// function's entry-point status, and the definition order (which pins
-	// both the sorted lock-order fold and the entry walk), so it is cached
-	// under exactly those inputs. Most edits recompute a summary to the same
-	// value, and then the folded lock order and race set are reused whole.
+	// SCC never shadows the fresh result. The whole-program fold's output is
+	// a pure function of every summary's value, each function's entry-point
+	// status, and the definition order (which pins both the sorted
+	// lock-order fold and the entry walk), so it is cached under exactly
+	// those inputs. Most edits recompute a summary to the same value, and
+	// then the folded lock order and race set are reused whole.
 	var summaries *Summaries
 	if needSums {
 		if len(dirtySCCs) > 0 {
@@ -272,21 +305,26 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 				for _, m := range scc {
 					mi := k.fnIndex[m]
 					sums[mi] = sb.effects[m]
-					sums[mi].vhash = effectsVHash(sums[mi])
-					store.Put(k.sumKey[mi], sums[mi])
+					if store != nil {
+						sums[mi].vhash = effectsVHash(sums[mi])
+						store.Put(k.sumKey[mi], sums[mi])
+					}
 				}
 			}
 		}
-		aggParts := make([]string, 1, 3*len(funcs)+1)
-		aggParts[0] = "agg"
-		for fi, fn := range funcs {
-			entry := "0"
-			if !k.cg.CalledByOther[fn.Name] || fn.Name == "main" {
-				entry = "1"
+		var aggKey string
+		if store != nil {
+			aggParts := make([]string, 1, 3*len(funcs)+1)
+			aggParts[0] = "agg"
+			for fi, fn := range funcs {
+				entry := "0"
+				if !k.cg.CalledByOther[fn.Name] || fn.Name == "main" {
+					entry = "1"
+				}
+				aggParts = append(aggParts, fn.Name, sums[fi].vhash, entry)
 			}
-			aggParts = append(aggParts, fn.Name, sums[fi].vhash, entry)
+			aggKey = factstore.Hash(aggParts...)
 		}
-		aggKey := factstore.Hash(aggParts...)
 		fold, ok := store.Get(aggKey)
 		if !ok {
 			fold = aggregate(prog, k.cg, func(name string) *FuncEffects { return sums[k.fnIndex[name]] })
@@ -301,20 +339,24 @@ func RunWithStore(prog *ast.Program, info *types.Info, opts Options, store *fact
 		if missKey[fi] == "" {
 			continue
 		}
-		cb := &cachedBundle{ByAnalyzer: make([][]cachedFinding, len(bundled))}
-		for ai, a := range bundled {
-			cb.ByAnalyzer[ai] = encodeFindings(k.ix, results[baseSlot[a.Name]+fi])
+		cb := &cachedBundle{ByAnalyzer: make([][]cachedFinding, len(bundleBase))}
+		for ai, base := range bundleBase {
+			cb.ByAnalyzer[ai] = encodeFindings(k.ix, results[base+fi])
 		}
 		store.Put(missKey[fi], cb)
 	}
-	return assembleReport(prog, opts, selected, results), nil
+	return assembleReport(prog, opts, selected, results)
 }
 
 // ---------------------------------------------------------------------------
 // Key computation
 // ---------------------------------------------------------------------------
 
-// progKeys carries every content key of one incremental run. Per-function
+// progKeys carries the program structure and every content key of one
+// driver run. Without a store every key is "" and only the structure the
+// run needs is filled in: the index and, when flow facts are needed, the
+// function traits, call graph and SCC order (no flow components: they
+// serve only to key facts and slice the points-to solve). Per-function
 // keys live in slices indexed by the function's position in the filtered
 // definition order (fnIndex maps names back to positions): at monorepo
 // scale the key pipeline touches every function several times per run, and
@@ -349,12 +391,19 @@ func buildKeys(prog *ast.Program, info *types.Info, store *factstore.Store,
 		funcKey:    make([]string, n),
 		traits:     make([]*pointsto.Traits, n),
 		initTraits: map[string]*pointsto.Traits{},
-		envSig:     make([]string, n),
 	}
-	k.typesSig = k.ix.TypesSig()
+	keyed := store != nil
+	if keyed {
+		k.typesSig = k.ix.TypesSig()
+	}
 	for i, fn := range funcs {
 		k.fnIndex[fn.Name] = int32(i)
-		k.funcKey[i] = k.ix.FuncKey(fn.Name)
+		if keyed {
+			k.funcKey[i] = k.ix.FuncKey(fn.Name)
+		}
+	}
+	if !keyed && !needFlow {
+		return k // nothing below is needed without keys or flow facts
 	}
 
 	// Traits: pure functions of one definition's text, keyed by its hash.
@@ -364,6 +413,10 @@ func buildKeys(prog *ast.Program, info *types.Info, store *factstore.Store,
 	k.traitsVH = make([]string, n)
 	initVH := map[string]string{}
 	for i, fn := range funcs {
+		if !keyed {
+			k.traits[i] = pointsto.ScanTraits(fn)
+			continue
+		}
 		tk := "tr\x00" + k.funcKey[i]
 		if v, ok := store.Get(tk); ok {
 			ct := v.(*cachedTraits)
@@ -375,8 +428,10 @@ func buildKeys(prog *ast.Program, info *types.Info, store *factstore.Store,
 			store.Put(tk, &cachedTraits{T: t, VHash: k.traitsVH[i]})
 		}
 	}
+	// Initialiser traits feed only the flow components and the graph
+	// signature, which exist only with a store.
 	for _, d := range prog.Defs {
-		if d, ok := d.(*ast.DefineVar); ok && d.Init != nil {
+		if d, ok := d.(*ast.DefineVar); ok && d.Init != nil && keyed {
 			di, _ := k.ix.Def("v:" + d.Name)
 			tk := "vt\x00" + di.Hash
 			if v, ok := store.Get(tk); ok {
@@ -391,7 +446,86 @@ func buildKeys(prog *ast.Program, info *types.Info, store *factstore.Store,
 		}
 	}
 
-	// envSig: the classification of every free name, under typesSig.
+	if keyed {
+		k.envSig = envSigs(k, info, funcs)
+	}
+	if !needFlow {
+		return k
+	}
+
+	// The graph layer — call graph, SCC order, flow components — is a pure
+	// function of the traits skeletons, the definition order, and the type
+	// environment, all of which survive the typical edit unchanged. It is
+	// cached whole under a program-level signature over exactly those
+	// inputs (traits by content, not by source text, so editing a function
+	// body usually hits). The cached form holds only names; the Funcs map
+	// is rebuilt against the current AST on every hit, because summary
+	// recomputation walks bodies through it.
+	var graphSig string
+	if keyed {
+		parts := make([]string, 2, 2+3*len(prog.Defs))
+		parts[0], parts[1] = "graph", k.typesSig
+		for _, d := range prog.Defs {
+			switch d := d.(type) {
+			case *ast.DefineFunc:
+				parts = append(parts, "F", d.Name, k.traitsVH[k.fnIndex[d.Name]])
+			case *ast.DefineVar:
+				vh, ok := initVH[d.Name]
+				if !ok {
+					vh = "-"
+				}
+				parts = append(parts, "V", d.Name, vh)
+			}
+		}
+		graphSig = factstore.Hash(parts...)
+	}
+	if v, ok := store.Get(graphSig); ok {
+		cgr := v.(*cachedGraph)
+		k.cg = &CallGraph{
+			Funcs:         make(map[string]*ast.DefineFunc, n),
+			Names:         cgr.Names,
+			Callees:       cgr.Callees,
+			CalledByOther: cgr.CalledByOther,
+		}
+		for _, fn := range funcs {
+			k.cg.Funcs[fn.Name] = fn
+		}
+		k.sccOrder = cgr.SCCOrder
+		k.comps = cgr.Comps
+	} else {
+		if keyed {
+			k.comps = pointsto.BuildComponents(prog, info, func(name string) *pointsto.Traits {
+				if i, ok := k.fnIndex[name]; ok {
+					return k.traits[i]
+				}
+				return nil
+			}, k.initTraits)
+		}
+		k.cg = NewCallGraphFromCallees(prog, func(name string) []string {
+			return k.traits[k.fnIndex[name]].Called
+		})
+		k.sccOrder = k.cg.SCCs()
+		store.Put(graphSig, &cachedGraph{
+			Names:         k.cg.Names,
+			Callees:       k.cg.Callees,
+			CalledByOther: k.cg.CalledByOther,
+			SCCOrder:      k.sccOrder,
+			Comps:         k.comps,
+		})
+	}
+	k.sumKey = make([]string, n)
+	if keyed {
+		k.fnComp = make([]int, n)
+		for i, fn := range funcs {
+			k.fnComp[i] = k.comps.OfFunc(fn.Name)
+		}
+		flowKeys(k)
+	}
+	return k
+}
+
+// envSigs classifies every free name of every function, under typesSig.
+func envSigs(k *progKeys, info *types.Info, funcs []*ast.DefineFunc) []string {
 	external := map[string]bool{}
 	for _, ext := range info.Externals {
 		external[ext.Name] = true
@@ -422,77 +556,23 @@ func buildKeys(prog *ast.Program, info *types.Info, store *factstore.Store,
 		classMemo[name] = c
 		return c
 	}
+	sigs := make([]string, len(funcs))
 	parts := make([]string, 0, 64)
 	for i := range funcs {
 		parts = append(parts[:0], "env", k.typesSig)
 		for _, name := range k.traits[i].Free {
 			parts = append(parts, name, classify(name))
 		}
-		k.envSig[i] = factstore.Hash(parts...)
+		sigs[i] = factstore.Hash(parts...)
 	}
+	return sigs
+}
 
-	if !needFlow {
-		return k
-	}
-
-	// The graph layer — call graph, SCC order, flow components — is a pure
-	// function of the traits skeletons, the definition order, and the type
-	// environment, all of which survive the typical edit unchanged. It is
-	// cached whole under a program-level signature over exactly those
-	// inputs (traits by content, not by source text, so editing a function
-	// body usually hits). The cached form holds only names; the Funcs map
-	// is rebuilt against the current AST on every hit, because summary
-	// recomputation walks bodies through it.
-	parts = append(parts[:0], "graph", k.typesSig)
-	for _, d := range prog.Defs {
-		switch d := d.(type) {
-		case *ast.DefineFunc:
-			parts = append(parts, "F", d.Name, k.traitsVH[k.fnIndex[d.Name]])
-		case *ast.DefineVar:
-			vh, ok := initVH[d.Name]
-			if !ok {
-				vh = "-"
-			}
-			parts = append(parts, "V", d.Name, vh)
-		}
-	}
-	graphSig := factstore.Hash(parts...)
-	if v, ok := store.Get(graphSig); ok {
-		cgr := v.(*cachedGraph)
-		k.cg = &CallGraph{
-			Funcs:         make(map[string]*ast.DefineFunc, n),
-			Names:         cgr.Names,
-			Callees:       cgr.Callees,
-			CalledByOther: cgr.CalledByOther,
-		}
-		for _, fn := range funcs {
-			k.cg.Funcs[fn.Name] = fn
-		}
-		k.sccOrder = cgr.SCCOrder
-		k.comps = cgr.Comps
-	} else {
-		k.comps = pointsto.BuildComponents(prog, info, func(name string) *pointsto.Traits {
-			if i, ok := k.fnIndex[name]; ok {
-				return k.traits[i]
-			}
-			return nil
-		}, k.initTraits)
-		k.cg = NewCallGraphFromCallees(prog, func(name string) []string {
-			return k.traits[k.fnIndex[name]].Called
-		})
-		k.sccOrder = k.cg.SCCs()
-		store.Put(graphSig, &cachedGraph{
-			Names:         k.cg.Names,
-			Callees:       k.cg.Callees,
-			CalledByOther: k.cg.CalledByOther,
-			SCCOrder:      k.sccOrder,
-			Comps:         k.comps,
-		})
-	}
-
-	// Component and summary keys are rebuilt every run even on a graph hit:
-	// they embed source hashes (funcKey, envSig), which the graph signature
-	// deliberately does not.
+// flowKeys fills in the component and summary keys. They are rebuilt every
+// run even on a graph hit: they embed source hashes (funcKey, envSig),
+// which the graph signature deliberately does not.
+func flowKeys(k *progKeys) {
+	var parts []string
 	k.compKey = make([]string, k.comps.Len())
 	for id := 0; id < k.comps.Len(); id++ {
 		parts = append(parts[:0], "comp", k.typesSig)
@@ -509,14 +589,9 @@ func buildKeys(prog *ast.Program, info *types.Info, store *factstore.Store,
 		}
 		k.compKey[id] = factstore.Hash(parts...)
 	}
-	k.fnComp = make([]int, n)
-	for i, fn := range funcs {
-		k.fnComp[i] = k.comps.OfFunc(fn.Name)
-	}
 
 	// Summary keys bottom-up: each SCC's signature folds its members' keys
 	// with the finished summaryKeys of all out-of-SCC callees.
-	k.sumKey = make([]string, n)
 	var calleeKeys []string
 	for _, scc := range k.sccOrder {
 		// Most SCCs are singletons; skip the membership map for those.
@@ -544,7 +619,6 @@ func buildKeys(prog *ast.Program, info *types.Info, store *factstore.Store,
 			k.sumKey[k.fnIndex[m]] = "sum\x00" + m + "\x00" + sccSig
 		}
 	}
-	return k
 }
 
 // cachedTraits pairs one definition's traits with a hash of their content,

@@ -2,6 +2,8 @@ package analysis_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -81,8 +83,8 @@ const incrSrc = `
     (println (leaky))))
 `
 
-// TestIncrementalMatchesCold: one program, three runs — the plain driver,
-// a cold cached run, and a warm fully-cached rerun — must render
+// TestIncrementalMatchesCold: one program, three runs — a run with no
+// store, a cold cached run, and a warm fully-cached rerun — must render
 // byte-identically in every output format.
 func TestIncrementalMatchesCold(t *testing.T) {
 	opts := analysis.Options{Parallelism: 1}
@@ -314,20 +316,44 @@ func TestIncrementalDeterminism(t *testing.T) {
 	}
 }
 
-// TestIncrementalNilStore: a nil store must behave exactly like Run.
+// TestIncrementalNilStore: a run with no store, a run on a fresh store,
+// and a warm run on a store primed by an earlier run must render
+// byte-identically in every output format, with -strict accounting of the
+// suppressed findings, on the fixtures, every example program and every
+// golden analyze input. The warm run must recompute nothing.
 func TestIncrementalNilStore(t *testing.T) {
-	opts := analysis.Options{Parallelism: 1}
-	prog, info := check(t, incrSrc)
-	rep, err := analysis.RunWithStore(prog, info, opts, nil)
-	if err != nil {
-		t.Fatal(err)
+	type input struct{ name, src string }
+	inputs := []input{{"incrSrc", incrSrc}, {"shiftSrc", shiftSrc}}
+	for _, pat := range []string{"../../examples/progs/*.bitc", "../core/testdata/analyze/*.bitc"} {
+		paths, err := filepath.Glob(pat)
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("no inputs for %s: %v", pat, err)
+		}
+		for _, p := range paths {
+			src, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs = append(inputs, input{p, string(src)})
+		}
 	}
-	plain, err := analysis.Run(prog, info, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if renderAll(t, rep) != renderAll(t, plain) {
-		t.Error("nil-store run differs from plain run")
+	opts := analysis.Options{Parallelism: 1, Strict: true}
+	for _, in := range inputs {
+		_, none := runStore(t, in.src, opts, nil)
+		_, fresh := runStore(t, in.src, opts, factstore.New())
+		primed := factstore.New()
+		runStore(t, in.src, opts, primed)
+		before := primed.Stats()
+		_, warm := runStore(t, in.src, opts, primed)
+		if fresh != none {
+			t.Errorf("%s: fresh-store run differs from nil-store run:\nnil:\n%s\nfresh:\n%s", in.name, none, fresh)
+		}
+		if warm != none {
+			t.Errorf("%s: warm-store run differs from nil-store run:\nnil:\n%s\nwarm:\n%s", in.name, none, warm)
+		}
+		if puts := primed.Stats().Puts - before.Puts; puts != 0 {
+			t.Errorf("%s: warm run recomputed %d facts", in.name, puts)
+		}
 	}
 }
 

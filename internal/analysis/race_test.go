@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"bitc/internal/analysis"
-	"bitc/internal/pointsto"
 )
 
 // sharedAccesses returns the entry-reachable shared accesses the driver's
@@ -13,7 +12,7 @@ import (
 func sharedAccesses(t *testing.T, src string) []analysis.Access {
 	t.Helper()
 	prog, info := check(t, src)
-	return analysis.ComputeSummaries(prog, info, pointsto.Analyze(prog, info, nil)).SharedAccesses
+	return analysis.SharedAccesses(prog, info)
 }
 
 // TestRaceCases pins the race analyzer's verdict, as a count of

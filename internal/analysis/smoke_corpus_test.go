@@ -36,10 +36,11 @@ func TestCorpusColdWarmSmoke(t *testing.T) {
 	t.Logf("stats: %+v", st)
 }
 
-// TestParallelDrivers runs Run and RunWithStore on an 8-worker pool over a
-// corpus, cold and warm after an edit, against a sequential Run. Analyzers
-// running in parallel share each function's CFG and the whole-program
-// facts, so scripts/check.sh runs this test under -race as well.
+// TestParallelDrivers runs the driver on an 8-worker pool over a corpus —
+// with no store, on a fresh store, and warm after an edit — against a
+// sequential run with no store. Analyzers running in parallel share each
+// function's CFG and the whole-program facts, so scripts/check.sh runs
+// this test under -race as well.
 func TestParallelDrivers(t *testing.T) {
 	src := corpus.Text(400, 25)
 	seq := func(src string) string {
@@ -52,20 +53,15 @@ func TestParallelDrivers(t *testing.T) {
 	}
 	want := seq(src)
 	par := analysis.Options{Parallelism: 8}
-	prog, info := check(t, src)
-	rep, err := analysis.Run(prog, info, par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if renderAll(t, rep) != want {
-		t.Error("parallel Run differs from sequential Run")
+	if _, none := runStore(t, src, par, nil); none != want {
+		t.Error("parallel nil-store run differs from sequential run")
 	}
 	store := factstore.New()
 	if _, cold := runStore(t, src, par, store); cold != want {
-		t.Error("parallel cold RunWithStore differs from sequential Run")
+		t.Error("parallel cold run differs from sequential run")
 	}
 	edited := corpus.EditOne(src, 137)
 	if _, warm := runStore(t, edited, par, store); warm != seq(edited) {
-		t.Error("parallel warm RunWithStore after an edit differs from sequential Run")
+		t.Error("parallel warm run after an edit differs from sequential run")
 	}
 }

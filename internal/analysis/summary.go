@@ -33,10 +33,10 @@ import (
 // Every site a summary records carries a factstore.RelSpan: a span relative
 // to the top-level definition that lexically contains it, fixed when the
 // builder walks that definition. A summary's value therefore does not
-// depend on where its definitions sit in the file, so the incremental driver
-// stores summaries and the whole-program fold exactly as computed and
-// reuses them after edits that only shift code. Analyzers resolve a site to
-// an absolute span (Pass.Abs) only when they report it.
+// depend on where its definitions sit in the file, so the driver stores
+// summaries and the whole-program fold exactly as computed and reuses them
+// after edits that only shift code. Analyzers resolve a site to an absolute
+// span (Pass.Abs) only when they report it.
 
 // LockSite is the first program point where a lock event was observed.
 type LockSite struct {
@@ -100,7 +100,7 @@ type FuncEffects struct {
 	// Retries are atomic entries under unbounded shared-state retry loops.
 	Retries []RetrySite
 
-	// vhash is the incremental driver's content hash of this value (see
+	// vhash is the driver's content hash of this value (see
 	// effectsVHash), set before the summary enters the fact store.
 	vhash string
 }
@@ -108,7 +108,7 @@ type FuncEffects struct {
 // Fold is the whole-program view derived from every function's summary:
 // the facts the interprocedural checkers consume. It is a pure function of
 // the summaries' values, the entry points, and the definition order, so the
-// incremental driver caches it whole.
+// driver caches it whole.
 type Fold struct {
 	// Races are the conflicting access pairs reachable from entry points.
 	Races []Race
@@ -142,27 +142,10 @@ type Summaries struct {
 	ix *factstore.Index
 }
 
-// ComputeSummaries builds every function's effects bottom-up and derives the
-// whole-program race and lock-order facts. pts, when non-nil, resolves
-// shared-access bases through the points-to sets, so an access through an
-// aliased handle (a let-bound copy of a global, a parameter the global was
-// passed as) is unified with direct accesses of the same global; nil falls
-// back to recognising only direct global references.
-func ComputeSummaries(prog *ast.Program, info *types.Info, pts *pointsto.Result) *Summaries {
-	cg := BuildCallGraph(prog)
-	sb := newSummaryBuilder(info, cg, pts)
-	order := cg.SCCs()
-	for _, scc := range order {
-		sb.computeSCC(scc)
-	}
-	fold := aggregate(prog, cg, func(name string) *FuncEffects { return sb.effects[name] })
-	return &Summaries{Graph: cg, SCCOrder: order, Fold: fold, ix: factstore.NewIndex(prog)}
-}
-
 // computeSCC (re)computes the effects of one strongly connected component,
 // iterating its members to a fixpoint. Callee SCCs must already be present
 // in sb.effects — either computed earlier in bottom-up order or taken from
-// the fact store by the incremental driver.
+// the fact store by the driver.
 func (sb *summaryBuilder) computeSCC(scc []string) {
 	for _, name := range scc {
 		sb.effects[name] = newEffects()
@@ -180,7 +163,7 @@ func (sb *summaryBuilder) computeSCC(scc []string) {
 			break
 		}
 	}
-	// The incremental driver keeps summaries in its fact store, so each one
+	// The driver keeps summaries in its fact store, so each one
 	// holds only what it records: no empty maps (most functions acquire no
 	// locks, and readers treat a nil map as empty) and no spare capacity.
 	for _, name := range scc {
@@ -202,9 +185,9 @@ func (sb *summaryBuilder) computeSCC(scc []string) {
 }
 
 // aggregate derives the whole-program facts from every function's summary,
-// which effects looks up by name. It is a pure, deterministic fold that both
-// drivers share, and like the summaries its result does not depend on where
-// the definitions sit in the file.
+// which effects looks up by name. It is a pure, deterministic fold, and like
+// the summaries its result does not depend on where the definitions sit in
+// the file.
 func aggregate(prog *ast.Program, cg *CallGraph, effects func(name string) *FuncEffects) *Fold {
 	f := &Fold{
 		LockEdges: map[string]map[string]LockSite{},

@@ -168,11 +168,10 @@ func (p *Program) Analyze(opts analysis.Options) (*analysis.Report, error) {
 	return analysis.Run(p.AST, p.Info, opts)
 }
 
-// AnalyzeWithStore runs the incremental analysis driver against a fact
-// store shared across calls: facts whose content keys still match are
-// served from cache, everything an edit invalidated is recomputed. The
-// report is byte-identical to Analyze's. A nil store degenerates to
-// Analyze.
+// AnalyzeWithStore runs the analysis driver against a fact store shared
+// across calls: facts whose content keys still match are served from cache,
+// everything an edit invalidated is recomputed. The report is
+// byte-identical to Analyze's; Analyze is this call with a nil store.
 func (p *Program) AnalyzeWithStore(opts analysis.Options, store *factstore.Store) (*analysis.Report, error) {
 	return analysis.RunWithStore(p.AST, p.Info, opts, store)
 }

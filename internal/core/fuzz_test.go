@@ -27,6 +27,7 @@ func FuzzLoad(f *testing.F) {
 		`(define (f (x 'a)) 'a x)`,
 		`(defunion * (A) (B))`,
 		`(defstruct * (x int64))`,
+		`(defstruct int64 (x int64)) (define (f (p int64)) int64 (field p x))`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

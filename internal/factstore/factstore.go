@@ -1,5 +1,5 @@
 // Package factstore is the content-hashed fact cache behind bitc's
-// incremental analysis driver.
+// analysis driver.
 //
 // The store maps opaque string keys — SHA-256 content hashes assembled by
 // the driver from a definition's source text, its type environment, its
@@ -28,7 +28,7 @@ import (
 // Hash combines parts into an opaque SHA-256 content hash (returned as a
 // raw 32-byte string, suitable as a map key). Keys built from it are
 // order-sensitive and unambiguous (parts are length-delimited). The
-// incremental driver calls this on very hot paths, so the scratch buffer is
+// analysis driver calls this on very hot paths, so the scratch buffer is
 // pooled and the digest is one-shot.
 func Hash(parts ...string) string {
 	buf := hashBufPool.Get().(*[]byte)
@@ -70,7 +70,9 @@ type entry struct {
 
 // Store is an in-memory content-addressed fact cache. It is safe for
 // concurrent use; values are stored by reference and must be treated as
-// immutable by both producer and consumer.
+// immutable by both producer and consumer. A nil *Store keeps nothing: Get
+// misses and Put and BeginRun do nothing, so a one-shot run can pass nil
+// instead of a throwaway store.
 type Store struct {
 	mu      sync.Mutex
 	entries map[string]entry
@@ -89,6 +91,9 @@ func New() *Store {
 // BeginRun opens a new analysis generation: hit/miss accounting and
 // recency tracking attribute subsequent traffic to it.
 func (s *Store) BeginRun() {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	s.gen++
 	s.mu.Unlock()
@@ -96,6 +101,9 @@ func (s *Store) BeginRun() {
 
 // Get returns the fact stored under key, marking it recently used.
 func (s *Store) Get(key string) (any, bool) {
+	if s == nil {
+		return nil, false
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[key]
@@ -111,6 +119,9 @@ func (s *Store) Get(key string) (any, bool) {
 
 // Put stores a fact under key, overwriting any previous value.
 func (s *Store) Put(key string, val any) {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.puts++

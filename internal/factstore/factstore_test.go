@@ -36,6 +36,16 @@ func TestStoreBasics(t *testing.T) {
 	}
 }
 
+// TestNilStore: a nil store keeps nothing and every probe misses.
+func TestNilStore(t *testing.T) {
+	var s *Store
+	s.BeginRun()
+	s.Put("k", 42)
+	if v, ok := s.Get("k"); ok || v != nil {
+		t.Fatalf("Get on a nil store = %v, %v; want nil, false", v, ok)
+	}
+}
+
 func TestStorePrune(t *testing.T) {
 	s := New()
 	s.BeginRun()

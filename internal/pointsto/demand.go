@@ -27,7 +27,9 @@
 package pointsto
 
 import (
+	"slices"
 	"sort"
+	"sync"
 
 	"bitc/internal/ast"
 	"bitc/internal/cfg"
@@ -60,24 +62,27 @@ type Traits struct {
 	ExoticCall bool
 }
 
-// traitScan accumulates one definition's traits.
+// traitScan accumulates one definition's traits. Names are collected with
+// repeats into scratch slices that are reused across scans (every run of
+// the analysis driver scans every definition), then sorted and
+// deduplicated into exact-size results once.
 type traitScan struct {
-	free   map[string]bool
-	called map[string]bool
-	bound  map[string]bool
-	t      *Traits
+	free, called, bound []string
+	t                   *Traits
 }
+
+var scanPool = sync.Pool{New: func() any { return new(traitScan) }}
 
 func (s *traitScan) expr(e ast.Expr, inBody bool) bool {
 	switch e := e.(type) {
 	case *ast.VarRef:
-		s.free[e.Name] = true
+		s.free = append(s.free, e.Name)
 	case *ast.Set:
-		s.free[e.Name] = true
+		s.free = append(s.free, e.Name)
 	case *ast.Call:
 		if v, ok := e.Fn.(*ast.VarRef); ok {
 			if inBody {
-				s.called[v.Name] = true
+				s.called = append(s.called, v.Name)
 			}
 		} else {
 			s.t.ExoticCall = true
@@ -85,14 +90,14 @@ func (s *traitScan) expr(e ast.Expr, inBody bool) bool {
 	case *ast.Lambda:
 		s.t.HasLambda = true
 		for _, p := range e.Params {
-			s.bound[p.Name] = true
+			s.bound = append(s.bound, p.Name)
 		}
 	case *ast.Let:
 		for _, b := range e.Bindings {
-			s.bound[b.Name] = true
+			s.bound = append(s.bound, b.Name)
 		}
 	case *ast.DoTimes:
-		s.bound[e.Var] = true
+		s.bound = append(s.bound, e.Var)
 	case *ast.Case:
 		for _, cl := range e.Clauses {
 			s.pattern(cl.Pattern)
@@ -104,7 +109,7 @@ func (s *traitScan) expr(e ast.Expr, inBody bool) bool {
 func (s *traitScan) pattern(p ast.Pattern) {
 	switch p := p.(type) {
 	case *ast.PatVar:
-		s.bound[p.Name] = true
+		s.bound = append(s.bound, p.Name)
 	case *ast.PatCtor:
 		for _, a := range p.Args {
 			s.pattern(a)
@@ -113,31 +118,30 @@ func (s *traitScan) pattern(p ast.Pattern) {
 }
 
 func (s *traitScan) finish() *Traits {
-	s.t.Free = sortedSet(s.free)
-	s.t.Called = sortedSet(s.called)
-	s.t.Bound = sortedSet(s.bound)
-	return s.t
+	t := s.t
+	t.Free = sortedSet(s.free)
+	t.Called = sortedSet(s.called)
+	t.Bound = sortedSet(s.bound)
+	s.t = nil
+	scanPool.Put(s)
+	return t
 }
 
 func newTraitScan() *traitScan {
-	return &traitScan{
-		free:   map[string]bool{},
-		called: map[string]bool{},
-		bound:  map[string]bool{},
-		t:      &Traits{},
-	}
+	s := scanPool.Get().(*traitScan)
+	s.free, s.called, s.bound = s.free[:0], s.called[:0], s.bound[:0]
+	s.t = &Traits{}
+	return s
 }
 
-func sortedSet(m map[string]bool) []string {
-	if len(m) == 0 {
+// sortedSet returns the distinct names in sorted order, in a new slice
+// (names is scratch).
+func sortedSet(names []string) []string {
+	if len(names) == 0 {
 		return nil
 	}
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	sort.Strings(names)
+	return slices.Clone(slices.Compact(names))
 }
 
 // ScanTraits extracts the traits of one function definition. The result
@@ -145,7 +149,7 @@ func sortedSet(m map[string]bool) []string {
 func ScanTraits(fn *ast.DefineFunc) *Traits {
 	s := newTraitScan()
 	for _, p := range fn.Params {
-		s.bound[p.Name] = true
+		s.bound = append(s.bound, p.Name)
 	}
 	for _, r := range fn.Contract.Requires {
 		ast.Walk(r, func(e ast.Expr) bool { return s.expr(e, false) })

@@ -93,12 +93,13 @@ func (c *checker) record(e ast.Expr, t *Type) *Type {
 func (c *checker) run(prog *ast.Program) {
 	// Pass 1: collect type declarations (structs, unions) so types can be
 	// resolved in any order. A rejected name (a duplicate, or one that
-	// shadows a builtin) has no info, so pass 2 skips its definition.
+	// shadows a builtin operation or type) has no info, so pass 2 skips its
+	// definition.
 	var typeDefs []ast.Def
 	for _, d := range prog.Defs {
 		switch d := d.(type) {
 		case *ast.DefStruct:
-			if c.declared(d.Name, d.Span()) {
+			if c.declaredType(d.Name, d.Span()) {
 				continue
 			}
 			c.info.Structs[d.Name] = &StructInfo{
@@ -106,7 +107,7 @@ func (c *checker) run(prog *ast.Program) {
 			}
 			typeDefs = append(typeDefs, d)
 		case *ast.DefUnion:
-			if c.declared(d.Name, d.Span()) {
+			if c.declaredType(d.Name, d.Span()) {
 				continue
 			}
 			c.info.Unions[d.Name] = &UnionInfo{Name: d.Name}
@@ -256,6 +257,16 @@ func (c *checker) declared(name string, span source.Span) bool {
 	return false
 }
 
+// declaredType is declared for a struct or union, which also may not take a
+// primitive type's name: the primitive would win every use of the name.
+func (c *checker) declaredType(name string, span source.Span) bool {
+	if primitives[name] != nil {
+		c.errf(span, "%s shadows a builtin type", name)
+		return true
+	}
+	return c.declared(name, span)
+}
+
 // checkStructCycles rejects structs that contain themselves by value.
 func (c *checker) checkStructCycles(prog *ast.Program) {
 	const (
@@ -316,6 +327,15 @@ func (c *checker) resolveFieldType(te ast.TypeExpr) (*Type, int) {
 	return c.resolveType(te, map[string]*Type{}), 0
 }
 
+// primitives maps each builtin type name to its type. Type names resolve
+// here before any user definition, so no definition may take one.
+var primitives = map[string]*Type{
+	"unit": Unit, "bool": Bool, "char": Char, "string": String,
+	"int8": Int8, "int16": Int16, "int32": Int32, "int64": Int64,
+	"uint8": Uint8, "uint16": Uint16, "uint32": Uint32, "uint64": Uint64,
+	"word": Word, "float64": Float64,
+}
+
 // resolveType converts a surface type expression to an internal type.
 // vars maps 'a-style names to their variables within one signature.
 func (c *checker) resolveType(te ast.TypeExpr, vars map[string]*Type) *Type {
@@ -329,35 +349,8 @@ func (c *checker) resolveType(te ast.TypeExpr, vars map[string]*Type) *Type {
 			}
 			return v
 		}
-		switch te.Name {
-		case "unit":
-			return Unit
-		case "bool":
-			return Bool
-		case "char":
-			return Char
-		case "string":
-			return String
-		case "int8":
-			return Int8
-		case "int16":
-			return Int16
-		case "int32":
-			return Int32
-		case "int64":
-			return Int64
-		case "uint8":
-			return Uint8
-		case "uint16":
-			return Uint16
-		case "uint32":
-			return Uint32
-		case "uint64":
-			return Uint64
-		case "word":
-			return Word
-		case "float64":
-			return Float64
+		if t, ok := primitives[te.Name]; ok {
+			return t
 		}
 		if s, ok := c.info.Structs[te.Name]; ok {
 			return Struct(s)

@@ -266,6 +266,11 @@ func TestRejectedTypeDefinitions(t *testing.T) {
 		{`(defunion p (A) (B)) (defstruct p (x int64))`, "already defined"},
 		{`(defstruct p (x int64)) (defstruct p (x int64))`, "already defined"},
 		{`(defstruct p (x int64)) (defunion p (A))`, "already defined"},
+		{`(defstruct int64 (x int64))`, "shadows a builtin type"},
+		{`(defunion bool (A))`, "shadows a builtin type"},
+		{`(defstruct word (x int64))`, "shadows a builtin type"},
+		{`(defunion unit (A) (B))`, "shadows a builtin type"},
+		{`(defstruct float64 (x int64)) (define (f (p float64)) float64 p)`, "shadows a builtin type"},
 	} {
 		checkErr(t, tc.src, tc.want)
 	}

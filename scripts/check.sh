@@ -151,10 +151,10 @@ rm -rf "$d1" "$d2" /tmp/bitc-bench-check
 # coordinators) with VM green threads — hold it to the race detector.
 go test -race -count=1 ./internal/serve/...
 
-# The analysis drivers run analyzers on a worker pool that share each
-# function's CFG and the whole-program facts — hold both drivers, cold and
-# warm, to the race detector too.
-go test -race -count=1 -run TestParallelDrivers ./internal/analysis
+# The analysis driver runs analyzers on a worker pool that share each
+# function's CFG and the whole-program facts — hold it to the race detector
+# too, with no store, on a fresh store and warm.
+go test -race -count=1 -run 'TestParallelDrivers|TestIncrementalNilStore' ./internal/analysis
 
 rm -f "$current" /tmp/bitc-check
 
