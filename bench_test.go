@@ -14,8 +14,11 @@ import (
 	"bitc/internal/core"
 	"bitc/internal/corpus"
 	"bitc/internal/factstore"
+	"bitc/internal/lexer"
 	"bitc/internal/opt"
+	"bitc/internal/parser"
 	"bitc/internal/pointsto"
+	"bitc/internal/source"
 	"bitc/internal/vm"
 )
 
@@ -288,6 +291,33 @@ func BenchmarkAnalysisIncremental(b *testing.B) {
 			}
 			if _, err := p.AnalyzeWithStore(opts, store); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkParse measures the front end's first stage on the synthetic
+// corpus: lex alone (a Lexer.Next loop to EOF) and the full parse to an AST.
+// These are the rows behind the parser layer of `bitc analyze -watch`, which
+// re-parses the whole text on every edit.
+func BenchmarkParse(b *testing.B) {
+	src := corpus.Text(1000, 25)
+	b.Run("lex", func(b *testing.B) {
+		file := source.NewFile("corpus.bitc", src)
+		b.SetBytes(int64(len(src)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lx := lexer.New(file, source.NewDiagnostics(file))
+			for lx.Next().Kind != lexer.EOF {
+			}
+		}
+	})
+	b.Run("parse", func(b *testing.B) {
+		b.SetBytes(int64(len(src)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, diags := parser.Parse("corpus.bitc", src); diags.HasErrors() {
+				b.Fatal(diags)
 			}
 		}
 	})

@@ -3,6 +3,8 @@ package ast
 import (
 	"fmt"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Print renders a node back to (normalised) S-expression surface syntax.
@@ -47,6 +49,35 @@ func printParams(b *strings.Builder, params []*Param) {
 		}
 	}
 	b.WriteByte(')')
+}
+
+// quoteString writes s as a bitc string literal: printable runes as they
+// are, and every other byte as an escape the lexer reads back. Go's %q is
+// not that: its \a, \b, \f, \v and \u escapes are not bitc escapes.
+func quoteString(b *strings.Builder, s string) {
+	b.WriteByte('"')
+	for i := 0; i < len(s); {
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == '"' || r == '\\':
+			b.WriteByte('\\')
+			b.WriteByte(byte(r))
+		case r == '\n':
+			b.WriteString(`\n`)
+		case r == '\t':
+			b.WriteString(`\t`)
+		case r == '\r':
+			b.WriteString(`\r`)
+		case unicode.IsPrint(r) && (r != utf8.RuneError || size > 1):
+			b.WriteString(s[i : i+size])
+		default:
+			for j := i; j < i+size; j++ {
+				fmt.Fprintf(b, `\x%02x`, s[j])
+			}
+		}
+		i += size
+	}
+	b.WriteByte('"')
 }
 
 func printNode(b *strings.Builder, n Node) {
@@ -157,7 +188,9 @@ func printNode(b *strings.Builder, n Node) {
 	case *External:
 		fmt.Fprintf(b, "(external %s ", n.Name)
 		printNode(b, n.Type)
-		fmt.Fprintf(b, " %q)", n.CSymbol)
+		b.WriteByte(' ')
+		quoteString(b, n.CSymbol)
+		b.WriteByte(')')
 
 	// Expressions
 	case *IntLit:
@@ -177,7 +210,7 @@ func printNode(b *strings.Builder, n Node) {
 	case *CharLit:
 		fmt.Fprintf(b, "#\\%c", n.Value)
 	case *StringLit:
-		fmt.Fprintf(b, "%q", n.Value)
+		quoteString(b, n.Value)
 	case *UnitLit:
 		b.WriteString("()")
 	case *VarRef:

@@ -28,6 +28,11 @@ func FuzzLoad(f *testing.F) {
 		`(defunion * (A) (B))`,
 		`(defstruct * (x int64))`,
 		`(defstruct int64 (x int64)) (define (f (p int64)) int64 (field p x))`,
+		// Literals glued to symbol characters: one malformed token each.
+		`(define (main) int64 (+ 1 2x))`,
+		`(define (main) int64 (- 1-2))`,
+		`(define (main) int64 0x1g)`,
+		`(define (main) bool #true)`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -2,10 +2,17 @@
 // S-expression based (in the BitC tradition), so the token set is small:
 // parentheses, atoms (symbols, keywords, numbers, characters, strings), and
 // the quote shorthand.
+//
+// Tokens are streamed: Lexer.Next returns one pointer-free Token at a time
+// and allocates nothing unless it reports a diagnostic. A token carries its
+// kind, its span and one 64-bit payload; its text is the source slice its
+// span covers, and a string literal is decoded only when asked (Unquote).
 package lexer
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -66,77 +73,62 @@ func (k Kind) String() string {
 	}
 }
 
-// Token is a lexeme with its source span and decoded payload.
+// Token is a lexeme: its kind, its source span and a decoded payload. It
+// holds no pointer; the text is Text(src) of the source it was lexed from.
 type Token struct {
 	Kind Kind
 	Span source.Span
-	Text string // raw text as written
-
-	IntVal   int64   // valid when Kind == Int or Char (code point) or Bool (0/1)
-	FloatVal float64 // valid when Kind == Float
-	StrVal   string  // decoded value when Kind == String
+	// Val is the payload: the two's-complement value of an Int, the code
+	// point of a Char, 0 or 1 for a Bool, the IEEE-754 bits of a Float.
+	Val uint64
 }
+
+// Text returns the token's raw text as written in src.
+func (t Token) Text(src string) string { return src[t.Span.Start:t.Span.End] }
+
+// Int returns the value of an Int, Char or Bool token.
+func (t Token) Int() int64 { return int64(t.Val) }
+
+// Float returns the value of a Float token.
+func (t Token) Float() float64 { return math.Float64frombits(t.Val) }
 
 // Lexer walks a source file producing tokens.
 type Lexer struct {
-	file  *source.File
+	text  string
 	diags *source.Diagnostics
 	pos   int
 }
 
 // New creates a lexer over file, reporting problems into diags.
 func New(file *source.File, diags *source.Diagnostics) *Lexer {
-	return &Lexer{file: file, diags: diags}
-}
-
-// Tokenize lexes text in one call, returning the token stream (always
-// terminated by an EOF token) and any diagnostics.
-func Tokenize(name, text string) ([]Token, *source.Diagnostics) {
-	file := source.NewFile(name, text)
-	diags := source.NewDiagnostics(file)
-	lx := New(file, diags)
-	var toks []Token
-	for {
-		t := lx.Next()
-		toks = append(toks, t)
-		if t.Kind == EOF {
-			return toks, diags
-		}
-	}
-}
-
-func (l *Lexer) peek() byte {
-	if l.pos >= len(l.file.Text) {
-		return 0
-	}
-	return l.file.Text[l.pos]
+	return &Lexer{text: file.Text, diags: diags}
 }
 
 func (l *Lexer) peekAt(off int) byte {
-	if l.pos+off >= len(l.file.Text) {
+	if l.pos+off >= len(l.text) {
 		return 0
 	}
-	return l.file.Text[l.pos+off]
+	return l.text[l.pos+off]
 }
 
 func (l *Lexer) skipTrivia() {
-	for l.pos < len(l.file.Text) {
-		c := l.file.Text[l.pos]
+	for l.pos < len(l.text) {
+		c := l.text[l.pos]
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == ',':
 			l.pos++
 		case c == ';': // line comment
-			for l.pos < len(l.file.Text) && l.file.Text[l.pos] != '\n' {
+			for l.pos < len(l.text) && l.text[l.pos] != '\n' {
 				l.pos++
 			}
 		case c == '#' && l.peekAt(1) == '|': // block comment, nestable
 			depth := 1
 			l.pos += 2
-			for l.pos < len(l.file.Text) && depth > 0 {
-				if l.peek() == '#' && l.peekAt(1) == '|' {
+			for l.pos < len(l.text) && depth > 0 {
+				if l.text[l.pos] == '#' && l.peekAt(1) == '|' {
 					depth++
 					l.pos += 2
-				} else if l.peek() == '|' && l.peekAt(1) == '#' {
+				} else if l.text[l.pos] == '|' && l.peekAt(1) == '#' {
 					depth--
 					l.pos += 2
 				} else {
@@ -156,111 +148,139 @@ func span(a, b int) source.Span {
 	return source.MakeSpan(source.Pos(a), source.Pos(b))
 }
 
-// isSymbolChar reports whether c can appear inside a symbol. The set is
+// isSymbolRune reports whether r can appear inside a symbol. The set is
 // generous, Scheme-style: anything printable that is not a delimiter.
-func isSymbolChar(c rune) bool {
-	switch c {
+func isSymbolRune(r rune) bool {
+	switch r {
 	case '(', ')', '[', ']', '"', ';', '\'', ',', '#':
 		return false
 	}
-	return !unicode.IsSpace(c) && unicode.IsPrint(c)
+	return !unicode.IsSpace(r) && unicode.IsPrint(r)
+}
+
+// symbolByte is isSymbolRune tabulated for ASCII.
+var symbolByte = func() (t [utf8.RuneSelf]bool) {
+	for c := range t {
+		t[c] = isSymbolRune(rune(c))
+	}
+	return t
+}()
+
+// symbolEnd returns the offset just past the run of symbol characters that
+// starts at pos.
+func (l *Lexer) symbolEnd(pos int) int {
+	for pos < len(l.text) {
+		if c := l.text[pos]; c < utf8.RuneSelf {
+			if !symbolByte[c] {
+				break
+			}
+			pos++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(l.text[pos:])
+		if !isSymbolRune(r) {
+			break
+		}
+		pos += size
+	}
+	return pos
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 // Next returns the next token, emitting diagnostics for malformed input.
+// Bytes that start no token are reported and skipped.
 func (l *Lexer) Next() Token {
-	l.skipTrivia()
-	start := l.pos
-	if l.pos >= len(l.file.Text) {
-		return Token{Kind: EOF, Span: span(start, start)}
-	}
-	c := l.file.Text[l.pos]
-	switch {
-	case c == '(':
+	for {
+		l.skipTrivia()
+		start := l.pos
+		if l.pos >= len(l.text) {
+			return Token{Kind: EOF, Span: span(start, start)}
+		}
+		c := l.text[l.pos]
+		var kind Kind
+		switch {
+		case c == '(':
+			kind = LParen
+		case c == ')':
+			kind = RParen
+		case c == '[':
+			kind = LBracket
+		case c == ']':
+			kind = RBracket
+		case c == '\'':
+			kind = Quote
+		case c == '"':
+			return l.lexString()
+		case c == '#':
+			if t, ok := l.lexHash(); ok {
+				return t
+			}
+			continue
+		case c == ':':
+			return l.lexKeyword()
+		case isDigit(c) || ((c == '-' || c == '+') && isDigit(l.peekAt(1))):
+			return l.lexNumber()
+		default:
+			if l.pos = l.symbolEnd(start); l.pos > start {
+				return Token{Kind: Symbol, Span: span(start, l.pos)}
+			}
+			// Unlexable byte: report and skip so the lexer always progresses.
+			l.pos++
+			l.diags.Errorf(span(start, l.pos), "unexpected character %q", c)
+			continue
+		}
 		l.pos++
-		return Token{Kind: LParen, Span: span(start, l.pos), Text: "("}
-	case c == ')':
-		l.pos++
-		return Token{Kind: RParen, Span: span(start, l.pos), Text: ")"}
-	case c == '[':
-		l.pos++
-		return Token{Kind: LBracket, Span: span(start, l.pos), Text: "["}
-	case c == ']':
-		l.pos++
-		return Token{Kind: RBracket, Span: span(start, l.pos), Text: "]"}
-	case c == '\'':
-		l.pos++
-		return Token{Kind: Quote, Span: span(start, l.pos), Text: "'"}
-	case c == '"':
-		return l.lexString()
-	case c == '#':
-		return l.lexHash()
-	case c == ':':
-		return l.lexKeyword()
-	case isDigit(c) || ((c == '-' || c == '+') && isDigit(l.peekAt(1))):
-		return l.lexNumber()
-	default:
-		return l.lexSymbol()
+		return Token{Kind: kind, Span: span(start, l.pos)}
 	}
 }
 
 func (l *Lexer) lexKeyword() Token {
 	start := l.pos
-	l.pos++ // consume ':'
-	for l.pos < len(l.file.Text) {
-		r, size := utf8.DecodeRuneInString(l.file.Text[l.pos:])
-		if !isSymbolChar(r) && r != ':' {
-			break
-		}
-		l.pos += size
-	}
-	text := l.file.Text[start:l.pos]
-	if len(text) == 1 {
+	l.pos = l.symbolEnd(l.pos + 1) // ':' is itself a symbol character
+	if l.pos == start+1 {
 		l.diags.Errorf(span(start, l.pos), "empty keyword")
 	}
-	return Token{Kind: Keyword, Span: span(start, l.pos), Text: text}
+	return Token{Kind: Keyword, Span: span(start, l.pos)}
 }
 
-func (l *Lexer) lexSymbol() Token {
-	start := l.pos
-	for l.pos < len(l.file.Text) {
-		r, size := utf8.DecodeRuneInString(l.file.Text[l.pos:])
-		if !isSymbolChar(r) {
-			break
-		}
-		l.pos += size
+// unglued reports whether the literal that ends at l.pos ends at a
+// delimiter. If it runs straight into symbol characters instead, unglued
+// takes the whole run as the literal's text and reports it as malformed.
+func (l *Lexer) unglued(start int, what string) bool {
+	end := l.symbolEnd(l.pos)
+	if end == l.pos {
+		return true
 	}
-	text := l.file.Text[start:l.pos]
-	if text == "" {
-		// Unlexable byte: report and skip so the lexer always progresses.
-		l.pos++
-		l.diags.Errorf(span(start, l.pos), "unexpected character %q", l.file.Text[start])
-		return l.Next()
-	}
-	return Token{Kind: Symbol, Span: span(start, l.pos), Text: text}
+	l.pos = end
+	l.diags.Errorf(span(start, end), "malformed %s literal %q", what, l.text[start:end])
+	return false
 }
 
 func (l *Lexer) lexNumber() Token {
 	start := l.pos
-	if c := l.peek(); c == '-' || c == '+' {
+	if c := l.text[l.pos]; c == '-' || c == '+' {
 		l.pos++
 	}
 	base := 10
-	if l.peek() == '0' && (l.peekAt(1) == 'x' || l.peekAt(1) == 'X') {
-		base = 16
-		l.pos += 2
-	} else if l.peek() == '0' && (l.peekAt(1) == 'b' || l.peekAt(1) == 'B') {
-		base = 2
-		l.pos += 2
-	} else if l.peek() == '0' && (l.peekAt(1) == 'o' || l.peekAt(1) == 'O') {
-		base = 8
-		l.pos += 2
+	if l.text[l.pos] == '0' {
+		switch l.peekAt(1) {
+		case 'x', 'X':
+			base = 16
+		case 'b', 'B':
+			base = 2
+		case 'o', 'O':
+			base = 8
+		}
+		if base != 10 {
+			l.pos += 2
+		}
 	}
 	digitStart := l.pos
 	isFloat := false
-	for l.pos < len(l.file.Text) {
-		c := l.peek()
+scan:
+	for l.pos < len(l.text) {
+		c := l.text[l.pos]
 		switch {
 		case isDigit(c),
 			base == 16 && ((c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')),
@@ -274,52 +294,37 @@ func (l *Lexer) lexNumber() Token {
 			isFloat = true
 			l.pos += 2 // consume 'e' and sign-or-digit; remaining digits loop
 		default:
-			goto done
+			break scan
 		}
 	}
-done:
-	text := l.file.Text[start:l.pos]
-	clean := strings.ReplaceAll(text, "_", "")
-	tok := Token{Span: span(start, l.pos), Text: text}
+	ok := l.unglued(start, "number")
+	tok := Token{Kind: Int, Span: span(start, l.pos)}
+	if !ok {
+		return tok
+	}
+	text := l.text[start:l.pos]
 	if l.pos == digitStart {
 		l.diags.Errorf(tok.Span, "number %q has no digits", text)
-		tok.Kind = Int
 		return tok
 	}
 	if isFloat {
 		tok.Kind = Float
-		var f float64
-		if _, err := fmt.Sscanf(clean, "%g", &f); err != nil {
+		f, err := strconv.ParseFloat(strings.ReplaceAll(text, "_", ""), 64)
+		if err != nil {
 			l.diags.Errorf(tok.Span, "malformed float literal %q", text)
+			f = 0
 		}
-		tok.FloatVal = f
+		tok.Val = math.Float64bits(f)
 		return tok
 	}
-	tok.Kind = Int
-	neg := false
-	s := clean
-	if strings.HasPrefix(s, "-") {
-		neg = true
-		s = s[1:]
-	} else {
-		s = strings.TrimPrefix(s, "+")
-	}
-	switch base {
-	case 16:
-		s = strings.TrimPrefix(s, "0x")
-		s = strings.TrimPrefix(s, "0X")
-	case 2:
-		s = strings.TrimPrefix(s, "0b")
-		s = strings.TrimPrefix(s, "0B")
-	case 8:
-		s = strings.TrimPrefix(s, "0o")
-		s = strings.TrimPrefix(s, "0O")
-	}
 	var v uint64
-	for i := 0; i < len(s); i++ {
-		d := digitVal(s[i])
+	for i := digitStart; i < l.pos; i++ {
+		if l.text[i] == '_' {
+			continue
+		}
+		d := digitVal(l.text[i])
 		if d < 0 || d >= base {
-			l.diags.Errorf(tok.Span, "digit %q invalid in base-%d literal", s[i], base)
+			l.diags.Errorf(tok.Span, "digit %q invalid in base-%d literal", l.text[i], base)
 			break
 		}
 		nv := v*uint64(base) + uint64(d)
@@ -329,11 +334,10 @@ done:
 		}
 		v = nv
 	}
-	if neg {
-		tok.IntVal = -int64(v)
-	} else {
-		tok.IntVal = int64(v)
+	if text[0] == '-' {
+		v = -v
 	}
+	tok.Val = v
 	return tok
 }
 
@@ -359,101 +363,147 @@ var namedChars = map[string]rune{
 	"null":    0,
 }
 
-func (l *Lexer) lexHash() Token {
+// lexHash lexes a token that starts with '#'. It returns false, having
+// reported the sequence, when the '#' starts no token.
+func (l *Lexer) lexHash() (Token, bool) {
 	start := l.pos
 	l.pos++ // '#'
-	switch l.peek() {
-	case 't':
+	switch l.peekAt(0) {
+	case 't', 'f':
+		tok := Token{Kind: Bool}
+		if l.text[l.pos] == 't' {
+			tok.Val = 1
+		}
 		l.pos++
-		return Token{Kind: Bool, Span: span(start, l.pos), Text: "#t", IntVal: 1}
-	case 'f':
-		l.pos++
-		return Token{Kind: Bool, Span: span(start, l.pos), Text: "#f", IntVal: 0}
+		l.unglued(start, "boolean")
+		tok.Span = span(start, l.pos)
+		return tok, true
 	case '\\':
 		l.pos++
 		nameStart := l.pos
-		for l.pos < len(l.file.Text) {
-			r, size := utf8.DecodeRuneInString(l.file.Text[l.pos:])
-			if !isSymbolChar(r) {
-				break
-			}
-			l.pos += size
-		}
-		name := l.file.Text[nameStart:l.pos]
-		tok := Token{Kind: Char, Span: span(start, l.pos), Text: l.file.Text[start:l.pos]}
+		l.pos = l.symbolEnd(l.pos)
+		name := l.text[nameStart:l.pos]
+		tok := Token{Kind: Char, Span: span(start, l.pos)}
 		switch {
-		case name == "" && l.pos < len(l.file.Text):
+		case name == "" && l.pos < len(l.text):
 			// Delimiter character like #\( — take one rune literally.
-			r, size := utf8.DecodeRuneInString(l.file.Text[l.pos:])
+			r, size := utf8.DecodeRuneInString(l.text[l.pos:])
 			l.pos += size
 			tok.Span = span(start, l.pos)
-			tok.IntVal = int64(r)
-		case len(name) == 1:
+			tok.Val = uint64(r)
+		case utf8.RuneCountInString(name) == 1: // #\a, #\é: the character itself
 			r, _ := utf8.DecodeRuneInString(name)
-			tok.IntVal = int64(r)
+			tok.Val = uint64(r)
 		default:
 			if r, ok := namedChars[name]; ok {
-				tok.IntVal = int64(r)
+				tok.Val = uint64(r)
 			} else {
 				l.diags.Errorf(tok.Span, "unknown character name %q", name)
 			}
 		}
-		return tok
+		return tok, true
 	default:
 		l.diags.Errorf(span(start, l.pos+1), "unexpected '#' sequence")
 		l.pos++
-		return l.Next()
+		return Token{}, false
 	}
 }
 
+// lexString scans a string literal, reporting malformed escapes and a
+// missing closing quote; the value is decoded later by Unquote. A literal
+// broken by a newline ends after the newline.
 func (l *Lexer) lexString() Token {
 	start := l.pos
-	l.pos++ // opening quote
-	var b strings.Builder
-	for l.pos < len(l.file.Text) {
-		c := l.file.Text[l.pos]
-		switch c {
+	for l.pos++; l.pos < len(l.text); {
+		switch l.text[l.pos] {
 		case '"':
 			l.pos++
-			return Token{Kind: String, Span: span(start, l.pos), Text: l.file.Text[start:l.pos], StrVal: b.String()}
+			return Token{Kind: String, Span: span(start, l.pos)}
 		case '\\':
-			l.pos++
-			if l.pos >= len(l.file.Text) {
+			if l.pos+1 >= len(l.text) {
+				l.pos = len(l.text)
 				break
 			}
-			e := l.file.Text[l.pos]
-			l.pos++
-			switch e {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case 'r':
-				b.WriteByte('\r')
-			case '0':
-				b.WriteByte(0)
-			case '\\', '"':
-				b.WriteByte(e)
-			case 'x':
-				hi, lo := digitVal(l.peek()), digitVal(l.peekAt(1))
-				if hi < 0 || hi > 15 || lo < 0 || lo > 15 {
-					l.diags.Errorf(span(l.pos-2, l.pos), `\x escape needs two hex digits`)
+			_, next, ok := unescape(l.text, l.pos+1)
+			if !ok {
+				if l.text[l.pos+1] == 'x' {
+					l.diags.Errorf(span(l.pos, next), `\x escape needs two hex digits`)
 				} else {
-					b.WriteByte(byte(hi<<4 | lo))
-					l.pos += 2
+					l.diags.Errorf(span(l.pos, next), "unknown escape \\%c", l.text[l.pos+1])
 				}
-			default:
-				l.diags.Errorf(span(l.pos-2, l.pos), "unknown escape \\%c", e)
 			}
+			l.pos = next
 		case '\n':
 			l.diags.Errorf(span(start, l.pos), "unterminated string literal")
 			l.pos++
-			return Token{Kind: String, Span: span(start, l.pos), Text: l.file.Text[start:l.pos], StrVal: b.String()}
+			return Token{Kind: String, Span: span(start, l.pos)}
 		default:
-			b.WriteByte(c)
 			l.pos++
 		}
 	}
 	l.diags.Errorf(span(start, l.pos), "unterminated string literal")
-	return Token{Kind: String, Span: span(start, l.pos), Text: l.file.Text[start:l.pos], StrVal: b.String()}
+	return Token{Kind: String, Span: span(start, l.pos)}
+}
+
+// unescape decodes the escape sequence whose letter is s[i], just after a
+// backslash. It returns the byte the sequence stands for and the offset just
+// past it. A malformed sequence (ok false) stands for no byte and ends after
+// its letter.
+func unescape(s string, i int) (c byte, next int, ok bool) {
+	switch e := s[i]; e {
+	case 'n':
+		return '\n', i + 1, true
+	case 't':
+		return '\t', i + 1, true
+	case 'r':
+		return '\r', i + 1, true
+	case '0':
+		return 0, i + 1, true
+	case '\\', '"':
+		return e, i + 1, true
+	case 'x':
+		if i+2 < len(s) {
+			hi, lo := digitVal(s[i+1]), digitVal(s[i+2])
+			if hi >= 0 && lo >= 0 {
+				return byte(hi<<4 | lo), i + 3, true
+			}
+		}
+	}
+	return 0, i + 1, false
+}
+
+// Unquote decodes the text of a String token — its opening quote up to and
+// including the closing quote, or to the newline or end of text that cut it
+// short. Malformed escapes, already reported by the lexer, are dropped. A
+// literal without escapes is returned as a slice of lit.
+func Unquote(lit string) string {
+	body := lit[1:]
+	esc := strings.IndexByte(body, '\\')
+	if esc < 0 {
+		if n := len(body); n > 0 && (body[n-1] == '"' || body[n-1] == '\n') {
+			return body[:n-1]
+		}
+		return body
+	}
+	b := make([]byte, 0, len(body))
+	b = append(b, body[:esc]...)
+	for i := esc; i < len(body); {
+		switch c := body[i]; c {
+		case '"', '\n':
+			return string(b)
+		case '\\':
+			if i+1 >= len(body) {
+				return string(b)
+			}
+			d, next, ok := unescape(body, i+1)
+			if ok {
+				b = append(b, d)
+			}
+			i = next
+		default:
+			b = append(b, c)
+			i++
+		}
+	}
+	return string(b)
 }

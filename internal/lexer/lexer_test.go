@@ -2,9 +2,13 @@ package lexer
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"bitc/internal/corpus"
+	"bitc/internal/source"
 )
 
 func kindsOf(toks []Token) []Kind {
@@ -15,9 +19,25 @@ func kindsOf(toks []Token) []Kind {
 	return ks
 }
 
+// tokenize lexes text to the end, returning every token (EOF last) and the
+// diagnostics.
+func tokenize(text string) ([]Token, *source.Diagnostics) {
+	file := source.NewFile("t.bitc", text)
+	diags := source.NewDiagnostics(file)
+	lx := New(file, diags)
+	var toks []Token
+	for {
+		t := lx.Next()
+		toks = append(toks, t)
+		if t.Kind == EOF {
+			return toks, diags
+		}
+	}
+}
+
 func lexOK(t *testing.T, text string) []Token {
 	t.Helper()
-	toks, diags := Tokenize("t.bitc", text)
+	toks, diags := tokenize(text)
 	if diags.HasErrors() {
 		t.Fatalf("lex %q: %v", text, diags)
 	}
@@ -31,8 +51,9 @@ func TestBasicTokens(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("kinds = %v, want %v", got, want)
 	}
-	if toks[1].Text != "foo" || toks[2].Text != "bar-baz" || toks[3].Text != "set!" || toks[4].Text != "+" {
-		t.Errorf("texts wrong: %q %q %q %q", toks[1].Text, toks[2].Text, toks[3].Text, toks[4].Text)
+	text := "(foo bar-baz set! +)"
+	if toks[1].Text(text) != "foo" || toks[2].Text(text) != "bar-baz" || toks[3].Text(text) != "set!" || toks[4].Text(text) != "+" {
+		t.Errorf("texts wrong: %q %q %q %q", toks[1].Text(text), toks[2].Text(text), toks[3].Text(text), toks[4].Text(text))
 	}
 }
 
@@ -64,8 +85,8 @@ func TestIntegers(t *testing.T) {
 			t.Errorf("%q: kind = %v", text, toks[0].Kind)
 			continue
 		}
-		if toks[0].IntVal != want {
-			t.Errorf("%q = %d, want %d", text, toks[0].IntVal, want)
+		if toks[0].Int() != want {
+			t.Errorf("%q = %d, want %d", text, toks[0].Int(), want)
 		}
 	}
 }
@@ -84,26 +105,26 @@ func TestFloats(t *testing.T) {
 			t.Errorf("%q: kind = %v, want Float", text, toks[0].Kind)
 			continue
 		}
-		if toks[0].FloatVal != want {
-			t.Errorf("%q = %g, want %g", text, toks[0].FloatVal, want)
+		if toks[0].Float() != want {
+			t.Errorf("%q = %g, want %g", text, toks[0].Float(), want)
 		}
 	}
 }
 
 func TestMinusIsSymbolWithoutDigit(t *testing.T) {
 	toks := lexOK(t, "(- a 1)")
-	if toks[1].Kind != Symbol || toks[1].Text != "-" {
-		t.Errorf("got %v %q", toks[1].Kind, toks[1].Text)
+	if toks[1].Kind != Symbol || toks[1].Text("(- a 1)") != "-" {
+		t.Errorf("got %v %q", toks[1].Kind, toks[1].Text("(- a 1)"))
 	}
 }
 
 func TestBooleans(t *testing.T) {
 	toks := lexOK(t, "#t #f")
-	if toks[0].Kind != Bool || toks[0].IntVal != 1 {
-		t.Errorf("#t = %v/%d", toks[0].Kind, toks[0].IntVal)
+	if toks[0].Kind != Bool || toks[0].Int() != 1 {
+		t.Errorf("#t = %v/%d", toks[0].Kind, toks[0].Int())
 	}
-	if toks[1].Kind != Bool || toks[1].IntVal != 0 {
-		t.Errorf("#f = %v/%d", toks[1].Kind, toks[1].IntVal)
+	if toks[1].Kind != Bool || toks[1].Int() != 0 {
+		t.Errorf("#f = %v/%d", toks[1].Kind, toks[1].Int())
 	}
 }
 
@@ -115,17 +136,18 @@ func TestChars(t *testing.T) {
 		`#\space`:   ' ',
 		`#\tab`:     '\t',
 		`#\0`:       '0',
+		`#\é`:       'é',
 	}
 	for text, want := range cases {
 		toks := lexOK(t, text)
-		if toks[0].Kind != Char || toks[0].IntVal != int64(want) {
-			t.Errorf("%q = %v/%d, want Char/%d", text, toks[0].Kind, toks[0].IntVal, want)
+		if toks[0].Kind != Char || toks[0].Int() != int64(want) {
+			t.Errorf("%q = %v/%d, want Char/%d", text, toks[0].Kind, toks[0].Int(), want)
 		}
 	}
 }
 
 func TestBadCharName(t *testing.T) {
-	_, diags := Tokenize("t", `#\bogusname`)
+	_, diags := tokenize(`#\bogusname`)
 	if !diags.HasErrors() {
 		t.Fatal("expected error for unknown char name")
 	}
@@ -143,39 +165,41 @@ func TestStrings(t *testing.T) {
 	}
 	for text, want := range cases {
 		toks := lexOK(t, text)
-		if toks[0].Kind != String || toks[0].StrVal != want {
-			t.Errorf("%s = %v/%q, want String/%q", text, toks[0].Kind, toks[0].StrVal, want)
+		if got := Unquote(toks[0].Text(text)); toks[0].Kind != String || got != want {
+			t.Errorf("%s = %v/%q, want String/%q", text, toks[0].Kind, got, want)
 		}
 	}
 }
 
 func TestUnterminatedString(t *testing.T) {
-	_, diags := Tokenize("t", `"abc`)
+	_, diags := tokenize(`"abc`)
 	if !diags.HasErrors() {
 		t.Fatal("expected unterminated string error")
 	}
-	_, diags = Tokenize("t", "\"abc\ndef\"")
+	_, diags = tokenize("\"abc\ndef\"")
 	if !diags.HasErrors() {
 		t.Fatal("expected error for newline in string")
 	}
 }
 
 func TestKeywords(t *testing.T) {
-	toks := lexOK(t, ":packed :requires")
-	if toks[0].Kind != Keyword || toks[0].Text != ":packed" {
-		t.Errorf("got %v %q", toks[0].Kind, toks[0].Text)
+	text := ":packed :requires"
+	toks := lexOK(t, text)
+	if toks[0].Kind != Keyword || toks[0].Text(text) != ":packed" {
+		t.Errorf("got %v %q", toks[0].Kind, toks[0].Text(text))
 	}
-	if toks[1].Text != ":requires" {
-		t.Errorf("got %q", toks[1].Text)
+	if toks[1].Text(text) != ":requires" {
+		t.Errorf("got %q", toks[1].Text(text))
 	}
 }
 
 func TestComments(t *testing.T) {
-	toks := lexOK(t, "a ; line comment\nb #| block #| nested |# comment |# c")
+	text := "a ; line comment\nb #| block #| nested |# comment |# c"
+	toks := lexOK(t, text)
 	var syms []string
 	for _, tk := range toks {
 		if tk.Kind == Symbol {
-			syms = append(syms, tk.Text)
+			syms = append(syms, tk.Text(text))
 		}
 	}
 	if strings.Join(syms, " ") != "a b c" {
@@ -184,7 +208,7 @@ func TestComments(t *testing.T) {
 }
 
 func TestUnterminatedBlockComment(t *testing.T) {
-	_, diags := Tokenize("t", "#| never closed")
+	_, diags := tokenize("#| never closed")
 	if !diags.HasErrors() {
 		t.Fatal("expected unterminated block comment error")
 	}
@@ -200,19 +224,20 @@ func TestQuoteToken(t *testing.T) {
 func TestSpansCoverText(t *testing.T) {
 	text := "(define x 42)"
 	toks := lexOK(t, text)
-	for _, tk := range toks[:len(toks)-1] {
+	want := []string{"(", "define", "x", "42", ")"}
+	for i, tk := range toks[:len(toks)-1] {
 		if !tk.Span.IsValid() || tk.Span.End <= tk.Span.Start {
-			t.Errorf("token %q has degenerate span %+v", tk.Text, tk.Span)
+			t.Errorf("token %d has degenerate span %+v", i, tk.Span)
+			continue
 		}
-		got := text[tk.Span.Start:tk.Span.End]
-		if got != tk.Text {
-			t.Errorf("span text %q != token text %q", got, tk.Text)
+		if got := tk.Text(text); got != want[i] {
+			t.Errorf("token %d text %q, want %q", i, got, want[i])
 		}
 	}
 }
 
 func TestIntegerOverflowReported(t *testing.T) {
-	_, diags := Tokenize("t", "99999999999999999999999999")
+	_, diags := tokenize("99999999999999999999999999")
 	if !diags.HasErrors() {
 		t.Fatal("expected overflow diagnostic")
 	}
@@ -229,7 +254,7 @@ func TestCommaIsWhitespace(t *testing.T) {
 // arbitrary byte soup.
 func TestLexerTotal(t *testing.T) {
 	check := func(raw []byte) bool {
-		toks, _ := Tokenize("fuzz", string(raw))
+		toks, _ := tokenize(string(raw))
 		return len(toks) > 0 && toks[len(toks)-1].Kind == EOF
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 400}); err != nil {
@@ -240,8 +265,8 @@ func TestLexerTotal(t *testing.T) {
 // Property: lexing the rendered text of an integer round-trips its value.
 func TestIntRoundTrip(t *testing.T) {
 	check := func(v int64) bool {
-		toks, diags := Tokenize("rt", fmt.Sprintf("%d", v))
-		return !diags.HasErrors() && toks[0].Kind == Int && toks[0].IntVal == v
+		toks, diags := tokenize(fmt.Sprintf("%d", v))
+		return !diags.HasErrors() && toks[0].Kind == Int && toks[0].Int() == v
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -256,5 +281,102 @@ func TestKindString(t *testing.T) {
 	}
 	if !strings.Contains(Kind(99).String(), "99") {
 		t.Error("unknown kind string")
+	}
+}
+
+// A number or boolean ends only at a delimiter: one glued to symbol
+// characters is lexed as a single malformed token, not split in two.
+func TestGluedLiterals(t *testing.T) {
+	cases := []struct{ text, tok, msg string }{
+		{"2x", "2x", `malformed number literal "2x"`},
+		{"1-2", "1-2", `malformed number literal "1-2"`},
+		{"0x1g", "0x1g", `malformed number literal "0x1g"`},
+		{"1.5x", "1.5x", `malformed number literal "1.5x"`},
+		{"1.5.3", "1.5.3", `malformed float literal "1.5.3"`}, // once read as 1.5
+		{"-7e", "-7e", `malformed number literal "-7e"`},
+		{"1:", "1:", `malformed number literal "1:"`},
+		{"#true", "#true", `malformed boolean literal "#true"`},
+		{"#f0 x", "#f0", `malformed boolean literal "#f0"`},
+	}
+	for _, c := range cases {
+		toks, diags := tokenize(c.text)
+		if diags.Len() != 1 || diags.List[0].Message != c.msg {
+			t.Errorf("%q: diagnostics %v, want one %q", c.text, diags, c.msg)
+		}
+		if got := toks[0].Text(c.text); got != c.tok {
+			t.Errorf("%q: first token %q, want %q", c.text, got, c.tok)
+		}
+	}
+	// Delimiters still end a literal.
+	for _, text := range []string{"(+ 1 2)", "[1]", "1;c", `1"s"`, "1#t", "#t#f", "1 'a", "#t)"} {
+		if _, diags := tokenize(text); diags.HasErrors() {
+			t.Errorf("%q: unexpected diagnostics %v", text, diags)
+		}
+	}
+}
+
+// Lexing a large, well-formed file allocates nothing: tokens are values and
+// their text stays in the source.
+func TestLexAllocatesNothing(t *testing.T) {
+	src := corpus.Text(1000, 25)
+	file := source.NewFile("corpus.bitc", src)
+	diags := source.NewDiagnostics(file)
+	n := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		lx := Lexer{text: src, diags: diags}
+		for n = 0; lx.Next().Kind != EOF; n++ {
+		}
+	})
+	if diags.Len() != 0 || n < 10000 {
+		t.Fatalf("lexed %d tokens with diagnostics %v", n, diags)
+	}
+	if allocs != 0 {
+		t.Errorf("Lexer.Next allocates %v times per pass over the corpus, want 0", allocs)
+	}
+}
+
+// Token holds no pointer, so a token stream costs the garbage collector
+// nothing to scan.
+func TestTokenHasNoPointers(t *testing.T) {
+	var walk func(reflect.Type) bool
+	walk = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if !walk(ty.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		case reflect.Array:
+			return walk(ty.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+			return true
+		}
+		return false
+	}
+	if !walk(reflect.TypeOf(Token{})) {
+		t.Error("lexer.Token contains a pointer")
+	}
+}
+
+func TestUnquote(t *testing.T) {
+	cases := map[string]string{
+		`"plain"`:     "plain",
+		`"a\nb"`:      "a\nb",
+		`"a\qb"`:      "ab", // malformed escape: reported by the lexer, dropped here
+		`"a\x4"`:      "a4",
+		`"cut`:        "cut",
+		"\"line\n":    "line",
+		`"esc\"cut`:   `esc"cut`,
+		`"trailing\`:  "trailing",
+		`"hex\x41\""`: `hexA"`,
+	}
+	for lit, want := range cases {
+		if got := Unquote(lit); got != want {
+			t.Errorf("Unquote(%q) = %q, want %q", lit, got, want)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 // Package parser turns bitc source text into the AST defined in internal/ast.
 //
-// Parsing happens in two stages: a generic S-expression reader (sexp.go) and
-// a form recogniser (this file) that maps list heads like define, let, case
-// onto AST nodes, reporting malformed forms with precise spans.
+// Parsing happens in two stages, one top-level form at a time: a generic
+// S-expression reader (sexp.go) pulls tokens from the lexer and builds the
+// form's sexps in an arena, and a form recogniser (this file) maps list heads
+// like define, let, case onto AST nodes, reporting malformed forms with
+// precise spans.
 package parser
 
 import (
@@ -14,14 +16,16 @@ import (
 // Parse parses a named compilation unit. The returned program is always
 // non-nil; check diags for errors.
 func Parse(name, text string) (*ast.Program, *source.Diagnostics) {
-	toks, diags := lexer.Tokenize(name, text)
-	file := diags.File
-	sexps := readSexps(toks, diags)
+	file := source.NewFile(name, text)
+	diags := source.NewDiagnostics(file)
+	r := newReader(file, diags)
 	p := &former{diags: diags}
 	prog := &ast.Program{File: file}
-	for _, s := range sexps {
-		if d := p.formDef(s); d != nil {
-			prog.Defs = append(prog.Defs, d)
+	for !r.atEOF() {
+		if s := r.form(); s != nil {
+			if d := p.formDef(s); d != nil {
+				prog.Defs = append(prog.Defs, d)
+			}
 		}
 	}
 	prog.Suppressions = append(p.suppressions, scanIgnoreComments(file)...)
@@ -29,15 +33,23 @@ func Parse(name, text string) (*ast.Program, *source.Diagnostics) {
 }
 
 // ParseExpr parses a single expression (used by tests and the REPL-ish API).
+// Any further input is read for its diagnostics only.
 func ParseExpr(text string) (ast.Expr, *source.Diagnostics) {
-	toks, diags := lexer.Tokenize("<expr>", text)
-	sexps := readSexps(toks, diags)
+	file := source.NewFile("<expr>", text)
+	diags := source.NewDiagnostics(file)
+	r := newReader(file, diags)
 	p := &former{diags: diags}
-	if len(sexps) == 0 {
+	var e ast.Expr
+	for !r.atEOF() {
+		if s := r.form(); s != nil && e == nil {
+			e = p.formExpr(s)
+		}
+	}
+	if e == nil {
 		diags.Errorf(source.Span{}, "empty input")
 		return &ast.UnitLit{}, diags
 	}
-	return p.formExpr(sexps[0]), diags
+	return e, diags
 }
 
 type former struct {
@@ -201,12 +213,12 @@ func (p *former) formDefStruct(s *sexp) ast.Def {
 			rest = rest[1:]
 			continue
 		case ":align":
-			if len(rest) < 2 || rest[1].tok == nil || rest[1].tok.Kind != lexer.Int {
+			if len(rest) < 2 || rest[1].tok.Kind != lexer.Int {
 				p.errf(rest[0].span, ":align needs an integer")
 				rest = rest[1:]
 				continue
 			}
-			d.Align = int(rest[1].tok.IntVal)
+			d.Align = int(rest[1].tok.Int())
 			rest = rest[2:]
 			continue
 		}
@@ -253,7 +265,7 @@ func (p *former) formDefUnion(s *sexp) ast.Def {
 
 func (p *former) formExternal(s *sexp) ast.Def {
 	if len(s.list) != 4 || s.list[1].sym() == "" ||
-		s.list[3].tok == nil || s.list[3].tok.Kind != lexer.String {
+		s.list[3].tok.Kind != lexer.String {
 		p.errf(s.span, `external must be (external name (-> (T...) R) "c_symbol")`)
 		return nil
 	}
@@ -261,7 +273,7 @@ func (p *former) formExternal(s *sexp) ast.Def {
 		SpanV:   s.span,
 		Name:    s.list[1].sym(),
 		Type:    p.formType(s.list[2]),
-		CSymbol: s.list[3].tok.StrVal,
+		CSymbol: lexer.Unquote(s.list[3].text),
 	}
 }
 
@@ -295,21 +307,21 @@ func (p *former) formType(s *sexp) ast.TypeExpr {
 		}
 		return fn
 	case "array":
-		if len(s.list) != 3 || s.list[2].tok == nil || s.list[2].tok.Kind != lexer.Int {
+		if len(s.list) != 3 || s.list[2].tok.Kind != lexer.Int {
 			p.errf(s.span, "array type must be (array elem-type length)")
 			return &ast.TypeName{SpanV: s.span, Name: "unit"}
 		}
 		return &ast.TypeApp{
 			SpanV: s.span, Ctor: "array",
 			Args: []ast.TypeExpr{p.formType(s.list[1])},
-			Size: int(s.list[2].tok.IntVal),
+			Size: int(s.list[2].tok.Int()),
 		}
 	case "bitfield":
-		if len(s.list) != 3 || s.list[2].tok == nil || s.list[2].tok.Kind != lexer.Int {
+		if len(s.list) != 3 || s.list[2].tok.Kind != lexer.Int {
 			p.errf(s.span, "bitfield must be (bitfield base-type bits)")
 			return &ast.TypeName{SpanV: s.span, Name: "unit"}
 		}
-		return &ast.TypeBitfield{SpanV: s.span, Base: p.formType(s.list[1]), Bits: int(s.list[2].tok.IntVal)}
+		return &ast.TypeBitfield{SpanV: s.span, Base: p.formType(s.list[1]), Bits: int(s.list[2].tok.Int())}
 	default:
 		ctor := s.head()
 		if ctor == "" {
@@ -332,27 +344,25 @@ func (p *former) formExpr(s *sexp) ast.Expr {
 	if s == nil {
 		return &ast.UnitLit{}
 	}
-	if t := s.tok; t != nil {
-		switch t.Kind {
-		case lexer.Int:
-			return &ast.IntLit{SpanV: s.span, Value: t.IntVal}
-		case lexer.Float:
-			return &ast.FloatLit{SpanV: s.span, Value: t.FloatVal}
-		case lexer.Bool:
-			return &ast.BoolLit{SpanV: s.span, Value: t.IntVal != 0}
-		case lexer.Char:
-			return &ast.CharLit{SpanV: s.span, Value: rune(t.IntVal)}
-		case lexer.String:
-			return &ast.StringLit{SpanV: s.span, Value: t.StrVal}
-		case lexer.Symbol:
-			if t.Text == "_" {
-				p.errf(s.span, "_ is only valid as a pattern")
-			}
-			return &ast.VarRef{SpanV: s.span, Name: t.Text}
-		case lexer.Keyword:
-			p.errf(s.span, "keyword %s not valid as an expression", t.Text)
-			return &ast.UnitLit{SpanV: s.span}
+	switch t := s.tok; t.Kind {
+	case lexer.Int:
+		return &ast.IntLit{SpanV: s.span, Value: t.Int()}
+	case lexer.Float:
+		return &ast.FloatLit{SpanV: s.span, Value: t.Float()}
+	case lexer.Bool:
+		return &ast.BoolLit{SpanV: s.span, Value: t.Int() != 0}
+	case lexer.Char:
+		return &ast.CharLit{SpanV: s.span, Value: rune(t.Int())}
+	case lexer.String:
+		return &ast.StringLit{SpanV: s.span, Value: lexer.Unquote(s.text)}
+	case lexer.Symbol:
+		if s.text == "_" {
+			p.errf(s.span, "_ is only valid as a pattern")
 		}
+		return &ast.VarRef{SpanV: s.span, Name: s.text}
+	case lexer.Keyword:
+		p.errf(s.span, "keyword %s not valid as an expression", s.text)
+		return &ast.UnitLit{SpanV: s.span}
 	}
 	if len(s.list) == 0 {
 		return &ast.UnitLit{SpanV: s.span}
@@ -367,7 +377,7 @@ func (p *former) formExpr(s *sexp) ast.Expr {
 	case "begin":
 		return &ast.Begin{SpanV: s.span, Body: p.formBody(s.list[1:], s.span)}
 	case "set!":
-		if len(s.list) == 4 {
+		if len(s.list) == 4 && s.list[2].sym() != "" {
 			// (set! e field v) sugar for set-field!
 			return &ast.FieldSet{SpanV: s.span, Expr: p.formExpr(s.list[1]), Name: s.list[2].sym(), Value: p.formExpr(s.list[3])}
 		}
@@ -448,7 +458,7 @@ func (p *former) formExpr(s *sexp) ast.Expr {
 	case "suppress":
 		// (suppress "BITC-XXXX" expr) evaluates exactly like expr; the code
 		// and form span are recorded for the static-analysis driver.
-		if len(s.list) != 3 || s.list[1].tok == nil || s.list[1].tok.Kind != lexer.String {
+		if len(s.list) != 3 || s.list[1].tok.Kind != lexer.String {
 			p.errf(s.span, `suppress must be (suppress "BITC-XXXX" expr)`)
 			if len(s.list) >= 3 {
 				return p.formExpr(s.list[2])
@@ -456,7 +466,7 @@ func (p *former) formExpr(s *sexp) ast.Expr {
 			return &ast.UnitLit{SpanV: s.span}
 		}
 		p.suppressions = append(p.suppressions, ast.Suppression{
-			Code: s.list[1].tok.StrVal,
+			Code: lexer.Unquote(s.list[1].text),
 			Span: s.span,
 		})
 		return p.formExpr(s.list[2])
@@ -617,16 +627,16 @@ func (p *former) formCase(s *sexp) ast.Expr {
 }
 
 func (p *former) formPattern(s *sexp) ast.Pattern {
-	if t := s.tok; t != nil {
-		switch t.Kind {
-		case lexer.Symbol:
-			if t.Text == "_" {
-				return &ast.PatWildcard{SpanV: s.span}
-			}
-			return &ast.PatVar{SpanV: s.span, Name: t.Text}
-		case lexer.Int, lexer.Bool, lexer.Char, lexer.String:
-			return &ast.PatLit{SpanV: s.span, Lit: p.formExpr(s)}
+	switch s.tok.Kind {
+	case lexer.EOF: // a list
+	case lexer.Symbol:
+		if s.text == "_" {
+			return &ast.PatWildcard{SpanV: s.span}
 		}
+		return &ast.PatVar{SpanV: s.span, Name: s.text}
+	case lexer.Int, lexer.Bool, lexer.Char, lexer.String:
+		return &ast.PatLit{SpanV: s.span, Lit: p.formExpr(s)}
+	default:
 		p.errf(s.span, "invalid pattern")
 		return &ast.PatWildcard{SpanV: s.span}
 	}

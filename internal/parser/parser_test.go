@@ -291,6 +291,7 @@ func TestParseErrors(t *testing.T) {
 		`(external f)`,     // incomplete
 		`(if)`,             // malformed
 		`(set!)`,           // malformed
+		`(set! e () v)`,    // field sugar without a field name
 		`(let (x) x)`,      // binding not a list
 		`(case x)`,         // no clauses
 		`(make)`,           // no name
@@ -356,5 +357,34 @@ func TestNestedExprSpansNest(t *testing.T) {
 	}
 	if got := strings.TrimSpace(text[body.Span().Start:body.Span().End]); got != "(+ x 1)" {
 		t.Errorf("body span text = %q", got)
+	}
+}
+
+// Nesting past the depth limit is reported once and skipped, however deep:
+// the reader neither recurses into it nor exhausts the stack.
+func TestNestingTooDeep(t *testing.T) {
+	const n = 2_000_000 // a 4 MB file
+	deep := strings.Repeat("(", n) + strings.Repeat(")", n)
+	for name, text := range map[string]string{
+		"parens":     "(define (main) int64 " + deep + ") (define x 1)",
+		"brackets":   "(define x " + strings.Repeat("[", n) + strings.Repeat("]", n) + ") (define y 2)",
+		"quotes":     "(define (f (x " + strings.Repeat("'", n) + "a)) int64 1) (define x 1)",
+		"unbalanced": "(define x 1) " + strings.Repeat("(", n),
+	} {
+		prog, diags := Parse(name, text)
+		if got := strings.Count(diags.Error(), "nesting too deep"); got != 1 {
+			t.Errorf("%s: %d nesting-too-deep diagnostics, want 1", name, got)
+		}
+		if (name == "parens" || name == "brackets") && diags.Len() != 1 {
+			t.Errorf("%s: %d diagnostics, want only the nesting one", name, diags.Len())
+		}
+		if name != "unbalanced" && len(prog.Defs) != 2 {
+			t.Errorf("%s: %d definitions, want both", name, len(prog.Defs))
+		}
+	}
+	// At the limit itself nothing is reported.
+	limit := "(define x " + strings.Repeat("(", maxDepth-1) + strings.Repeat(")", maxDepth-1) + ")"
+	if _, diags := Parse("limit", limit); diags.Len() != 0 {
+		t.Errorf("nesting at the limit: %v", diags)
 	}
 }

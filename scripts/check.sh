@@ -107,6 +107,14 @@ rm -f /tmp/bitc-serve-shard.bitc /tmp/bitc-serve-twopc.bitc
 # across builds, and the allocation tests hold calls, boxed execution and
 # scheduling to their allocation budgets.
 go test -count=1 -run 'TestDispatchDifferential|TestDisasmGolden|TestVMCounterGolden|TestCallsAllocateNothing|TestBoxedAllocatesOnlyBoxes|TestSchedulingAllocatesNothing|TestForcedRetryAllocations' ./internal/vm
+# The front end is held to the same standard: lexing a large well-formed
+# file allocates nothing (tokens are pointer-free values).
+go test -count=1 -run 'TestLexAllocatesNothing' ./internal/lexer
+
+# Parser fuzz smoke (fixed 10s): no input panics the parser, every span
+# nests inside its parent and the text, and a clean parse prints, re-parses
+# and prints identically.
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/parser
 
 # Bounds & provenance gate: the relational prover must (1) hold the E1
 # kernels' discharge rate above the 60% floor and keep the PROV001
