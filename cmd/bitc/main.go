@@ -5,7 +5,7 @@
 //
 //	bitc check <file>            type-check only
 //	bitc run [-boxed] [-contracts] [-seed N] [-profile cpu|alloc]
-//	         [-dispatch fused|specialized|switch] [-trace out.json]
+//	         [-dispatch fused|switch] [-trace out.json]
 //	         [-top N] [-deterministic] [-bounds-elide] <file>
 //	                             compile and execute main; optionally collect
 //	                             a profile and/or a Perfetto-loadable trace.
@@ -112,7 +112,7 @@ func run(args []string) error {
 
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	boxed := fs.Bool("boxed", false, "execute under the uniform boxed representation")
-	dispatch := fs.String("dispatch", "fused", "interpreter dispatch strategy (fused|specialized|switch)")
+	dispatch := fs.String("dispatch", "fused", "interpreter dispatch strategy (fused|switch)")
 	disasmFunc := fs.String("func", "", "disasm: function to list (default: all)")
 	contracts := fs.Bool("contracts", false, "compile contracts into runtime checks")
 	seed := fs.Uint64("seed", 0, "deterministic scheduler seed")
@@ -216,12 +216,10 @@ func run(args []string) error {
 	switch *dispatch {
 	case "fused":
 		cfg.Dispatch = vm.DispatchFused
-	case "specialized":
-		cfg.Dispatch = vm.DispatchSpecialized
 	case "switch":
 		cfg.Dispatch = vm.DispatchSwitch
 	default:
-		return fmt.Errorf("unknown -dispatch %q (want fused, specialized, or switch)", *dispatch)
+		return fmt.Errorf("unknown -dispatch %q (want fused or switch)", *dispatch)
 	}
 
 	dim, err := parseProfile(*profile)

@@ -171,34 +171,28 @@ func runA4(p Params) []*Table {
 		ID: "A4", Title: "optimiser tiers on the standard kernels",
 		Headers: []string{"workload", "O0 instrs", "O1 instrs", "O2 instrs", "O0 time", "O2 time", "speedup"},
 	}
+	levels := []opt.Level{opt.O0, opt.O1, opt.O2}
+kernels:
 	for _, w := range workloads() {
 		arg := w.arg(p.Scale)
-		instrs := map[opt.Level]uint64{}
-		times := map[opt.Level]time.Duration{}
-		failed := false
-		for _, lvl := range []opt.Level{opt.O0, opt.O1, opt.O2} {
+		machines := make([]*vm.VM, len(levels))
+		runs := make([]func() error, len(levels))
+		for i, lvl := range levels {
 			prog, err := core.Load(w.name, w.src, core.Config{Optimize: lvl})
 			if err != nil {
 				t.Notes = append(t.Notes, err.Error())
-				failed = true
-				break
+				continue kernels
 			}
-			machine := vm.New(prog.Module, vm.Options{})
-			start := time.Now()
-			if _, rerr := machine.RunFunc("entry", vm.IntValue(arg)); rerr != nil {
-				t.Notes = append(t.Notes, rerr.Error())
-				failed = true
-				break
-			}
-			times[lvl] = time.Since(start)
-			instrs[lvl] = machine.Stats.Instrs
+			runs[i] = entryRun(prog.Module, vm.Options{}, arg, &machines[i])
 		}
-		if failed {
+		ns, err := timeRuns(p.Reps, false, runs...)
+		if err != nil {
+			t.Notes = append(t.Notes, err.Error())
 			continue
 		}
-		t.AddRow(w.name, instrs[opt.O0], instrs[opt.O1], instrs[opt.O2],
-			times[opt.O0], times[opt.O2],
-			fmt.Sprintf("%.2fx", ratio(times[opt.O0], times[opt.O2])))
+		t.AddRow(w.name, machines[0].Stats.Instrs, machines[1].Stats.Instrs, machines[2].Stats.Instrs,
+			median(ns[0]), median(ns[2]),
+			spreadOf(ratios(ns[0], ns[2])).String())
 	}
 	return []*Table{t}
 }

@@ -6,8 +6,10 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"runtime"
+	"slices"
 	"strings"
 	"time"
 )
@@ -101,13 +103,14 @@ func (t *Table) String() string {
 // sized; the CLI uses Full for stabler numbers.
 type Params struct {
 	Scale int // 1 = quick, larger = longer runs
+	Reps  int // interleaved repetitions behind every timing (see timeRuns)
 }
 
 // Quick is the test-suite parameterisation.
-var Quick = Params{Scale: 1}
+var Quick = Params{Scale: 1, Reps: 3}
 
 // Full is the command-line parameterisation.
-var Full = Params{Scale: 10}
+var Full = Params{Scale: 10, Reps: 7}
 
 // Experiment is one reproducible table.
 type Experiment struct {
@@ -154,27 +157,81 @@ func All() []Experiment {
 func ByID(id string) *Experiment {
 	for _, e := range AllWithAblations() {
 		if strings.EqualFold(e.ID, id) {
-			ex := e
-			return &ex
+			return &e
 		}
 	}
 	return nil
 }
 
 // percentile returns the p-th percentile (0..100) of a sample.
-func percentile(xs []uint64, p float64) uint64 {
+func percentile[T cmp.Ordered](xs []T, p float64) T {
 	if len(xs) == 0 {
-		return 0
+		return *new(T)
 	}
-	s := append([]uint64{}, xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	s := slices.Clone(xs)
+	slices.Sort(s)
 	idx := int(float64(len(s)-1) * p / 100)
 	return s[idx]
 }
 
-func ratio(a, b time.Duration) float64 {
-	if b == 0 {
-		return 0
+// timeRuns is the harness's one stopwatch for VM runs and analysis calls.
+// Repetition i runs fns in order for even i, reversed for odd i, so no
+// closure always runs first; ns[j][i] is closure j's wall time in it. Each
+// timed call starts after a collection, so none pays for the garbage of the
+// one before it. Deterministic runs call each closure once and record 0.
+func timeRuns(reps int, deterministic bool, fns ...func() error) ([][]uint64, error) {
+	if deterministic {
+		reps = 1
 	}
-	return float64(a) / float64(b)
+	ns := make([][]uint64, len(fns))
+	for i := 0; i < reps; i++ {
+		for k := range fns {
+			j := k
+			if i%2 == 1 {
+				j = len(fns) - 1 - k
+			}
+			if !deterministic {
+				runtime.GC()
+			}
+			start := time.Now()
+			if err := fns[j](); err != nil {
+				return nil, err
+			}
+			d := uint64(time.Since(start))
+			if deterministic {
+				d = 0
+			}
+			ns[j] = append(ns[j], d)
+		}
+	}
+	return ns, nil
+}
+
+// median is a closure's median wall time from timeRuns.
+func median(ns []uint64) time.Duration { return time.Duration(percentile(ns, 50)) }
+
+// spread is the median of per-repetition ratios and their quartiles.
+type spread struct{ med, q1, q3 float64 }
+
+// ratios returns num[i]/den[i] for each repetition of one timeRuns call.
+func ratios(num, den []uint64) []float64 {
+	rs := make([]float64, len(num))
+	for i := range num {
+		rs[i] = float64(num[i]) / float64(den[i])
+	}
+	return rs
+}
+
+func spreadOf(rs []float64) spread {
+	return spread{percentile(rs, 50), percentile(rs, 25), percentile(rs, 75)}
+}
+
+// String renders a ratio as "2.41x (2.38-2.45)", marked "n.s." when its
+// interquartile interval contains 1.0.
+func (s spread) String() string {
+	txt := fmt.Sprintf("%.2fx (%.2f-%.2f)", s.med, s.q1, s.q3)
+	if s.q1 <= 1 && 1 <= s.q3 {
+		txt += " n.s."
+	}
+	return txt
 }

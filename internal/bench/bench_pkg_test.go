@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -224,8 +226,65 @@ func TestPercentile(t *testing.T) {
 	if percentile(xs, 0) != 1 || percentile(xs, 100) != 9 || percentile(xs, 50) != 5 {
 		t.Errorf("percentiles: %d %d %d", percentile(xs, 0), percentile(xs, 50), percentile(xs, 100))
 	}
-	if percentile(nil, 50) != 0 {
+	if percentile([]uint64(nil), 50) != 0 {
 		t.Error("empty percentile")
+	}
+}
+
+// TestTimeRuns pins the one stopwatch: repetitions alternate the closure
+// order, deterministic collection runs each closure once and records 0, an
+// error stops the run, and the summaries come from percentile.
+func TestTimeRuns(t *testing.T) {
+	var order []int
+	fn := func(j int) func() error {
+		return func() error { order = append(order, j); return nil }
+	}
+	ns, err := timeRuns(4, false, fn(0), fn(1), fn(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 2, 2, 1, 0, 0, 1, 2, 2, 1, 0}; !slices.Equal(order, want) {
+		t.Errorf("run order = %v, want %v", order, want)
+	}
+	if len(ns) != 3 || len(ns[0]) != 4 {
+		t.Fatalf("samples shape = %d x %d, want 3 x 4", len(ns), len(ns[0]))
+	}
+
+	order = nil
+	ns, err = timeRuns(7, true, fn(0), fn(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1}; !slices.Equal(order, want) {
+		t.Errorf("deterministic run order = %v, want %v", order, want)
+	}
+	for j, s := range ns {
+		if !slices.Equal(s, []uint64{0}) {
+			t.Errorf("deterministic closure %d samples = %v, want [0]", j, s)
+		}
+	}
+
+	boom := errors.New("boom")
+	if _, err := timeRuns(3, false, func() error { return boom }); !errors.Is(err, boom) {
+		t.Errorf("err = %v, want %v", err, boom)
+	}
+
+	xs := []float64{1.4, 0.9, 1.2, 1.0, 3.0, 1.1, 0.8}
+	s := spreadOf(xs)
+	if want := (spread{percentile(xs, 50), percentile(xs, 25), percentile(xs, 75)}); s != want {
+		t.Errorf("spreadOf = %+v, want %+v", s, want)
+	}
+	if want := (spread{1.1, 0.9, 1.2}); s != want {
+		t.Errorf("spreadOf = %+v, want %+v", s, want)
+	}
+	if got := s.String(); got != "1.10x (0.90-1.20) n.s." {
+		t.Errorf("String = %q", got)
+	}
+	if got := (spread{2.4, 2.3, 2.5}).String(); got != "2.40x (2.30-2.50)" {
+		t.Errorf("String = %q", got)
+	}
+	if got := median([]uint64{30, 10, 20, 50, 40}); got != 30 {
+		t.Errorf("median = %d, want 30", got)
 	}
 }
 

@@ -5,59 +5,52 @@ import (
 	"time"
 
 	"bitc/internal/core"
+	"bitc/internal/obs"
 	"bitc/internal/opt"
 	"bitc/internal/vm"
 )
 
-// timeRun executes entry(arg) on a fresh VM and returns elapsed time and the
-// machine for stats.
-func timeRun(p *core.Program, mode vm.RepMode, respectNoBox bool, arg int64) (time.Duration, *vm.VM, error) {
-	machine := vm.New(p.Module, vm.Options{Mode: mode, RespectNoBox: respectNoBox})
-	start := time.Now()
-	_, err := machine.RunFunc("entry", vm.IntValue(arg))
-	return time.Since(start), machine, err
+// runE1 prints fallacy 1 — the 1.5–2x cost of the uniform (boxed)
+// representation "doesn't matter" — from one metricsE1 measurement.
+func runE1(p Params) []*Table {
+	doc, err := metricsE1(p, false)
+	if err != nil {
+		return []*Table{{ID: "E1", Title: "boxed vs unboxed execution", Notes: []string{err.Error()}}}
+	}
+	return []*Table{e1Table(doc)}
 }
 
-// runE1 measures the raw cost of the uniform (boxed) representation against
-// unboxed execution on four systems-flavoured kernels. The paper's fallacy 1
-// is that the resulting 1.5–2x band "doesn't matter".
-func runE1(p Params) []*Table {
+// e1Table renders a metricsE1 document: one row per kernel from its
+// unboxed and boxed rows, then the geomean row.
+func e1Table(doc *obs.MetricsDoc) *Table {
 	t := &Table{
 		ID: "E1", Title: "boxed vs unboxed execution",
 		Claim:   "safe-language overhead lands in the 1.5-2x band the PL community waves away",
-		Headers: []string{"workload", "n", "unboxed", "boxed", "ratio", "box allocs", "box reads"},
+		Headers: []string{"workload", "n", "unboxed", "boxed", "ratio", "box allocs", "box reads", "dispatch", "elision"},
 	}
-	for _, w := range workloads() {
-		prog, err := core.Load(w.name, w.src, core.Config{Optimize: opt.O1})
-		if err != nil {
-			t.Notes = append(t.Notes, fmt.Sprintf("%s: %v", w.name, err))
-			continue
+	cell := func(d map[string]float64, key string) string {
+		if med, ok := d[key]; ok {
+			return spread{med, d[key+"Q1"], d[key+"Q3"]}.String()
 		}
-		arg := w.arg(p.Scale)
-		// Warm once, then measure best-of-3 to damp scheduler noise.
-		best := func(mode vm.RepMode) (time.Duration, *vm.VM) {
-			var bd time.Duration
-			var bm *vm.VM
-			for i := 0; i < 3; i++ {
-				d, m, err := timeRun(prog, mode, false, arg)
-				if err != nil {
-					t.Notes = append(t.Notes, fmt.Sprintf("%s: %v", w.name, err))
-					return 0, m
-				}
-				if bd == 0 || d < bd {
-					bd, bm = d, m
-				}
-			}
-			return bd, bm
+		return "-"
+	}
+	for i := 0; i < len(doc.Rows); i += 2 {
+		un := doc.Rows[i]
+		if un.Workload == "geomean" {
+			t.AddRow(un.Workload, "-", "-", "-", "-", "-", "-",
+				cell(un.Derived, "dispatchSpeedup"), cell(un.Derived, "boundsElisionSpeedup"))
+			break
 		}
-		du, _ := best(vm.Unboxed)
-		db, mb := best(vm.Boxed)
-		t.AddRow(w.name, arg, du, db, fmt.Sprintf("%.2fx", ratio(db, du)),
-			mb.Stats.BoxAllocs, mb.Stats.BoxReads)
+		bx := doc.Rows[i+1]
+		t.AddRow(un.Workload, un.N, time.Duration(un.WallNS), time.Duration(bx.WallNS),
+			cell(bx.Derived, "boxedRatio"), bx.Counters.BoxAllocs, bx.Counters.BoxReads,
+			cell(un.Derived, "dispatchSpeedup"), cell(un.Derived, "boundsElisionSpeedup"))
 	}
 	t.Notes = append(t.Notes,
-		"ratios land in the 1.4-3x band: exactly the factor the paper says systems programmers cannot concede")
-	return []*Table{t}
+		fmt.Sprintf("compiled at %s; times are medians of %d interleaved repetitions; a ratio is the median of per-repetition ratios (interquartile range), n.s. when that range contains 1.0",
+			doc.Rows[0].Opt, doc.Reps),
+		"dispatch is switch over fused interpretation, elision checked over proof-elided execution; the boxed ratio is the factor the paper says systems programmers cannot concede")
+	return t
 }
 
 // runE2 asks how much of that boxing a realistic escape-based unboxing pass
@@ -87,17 +80,17 @@ func runE2(p Params) []*Table {
 			bs.EscapeHeap, bs.EscapeCall, bs.EscapeReturn, fmt.Sprintf("%.0f%%", res))
 
 		arg := w.arg(p.Scale)
-		dNaive, mNaive, err := timeRun(prog, vm.Boxed, false, arg)
+		var naive, unbox *vm.VM
+		ns, err := timeRuns(p.Reps, false,
+			entryRun(prog.Module, vm.Options{Mode: vm.Boxed}, arg, &naive),
+			entryRun(prog.Module, vm.Options{Mode: vm.Boxed, RespectNoBox: true}, arg, &unbox))
 		if err != nil {
+			speed.Notes = append(speed.Notes, fmt.Sprintf("%s: %v", w.name, err))
 			continue
 		}
-		dOpt, mOpt, err := timeRun(prog, vm.Boxed, true, arg)
-		if err != nil {
-			continue
-		}
-		speed.AddRow(w.name, dNaive, dOpt,
-			mNaive.Stats.BoxAllocs-mOpt.Stats.BoxAllocs, mOpt.Stats.BoxAllocs,
-			fmt.Sprintf("%.2fx", ratio(dNaive, dOpt)))
+		speed.AddRow(w.name, median(ns[0]), median(ns[1]),
+			naive.Stats.BoxAllocs-unbox.Stats.BoxAllocs, unbox.Stats.BoxAllocs,
+			spreadOf(ratios(ns[0], ns[1])).String())
 	}
 	speed.Notes = append(speed.Notes,
 		"residual boxes stay non-zero: stores, calls, and returns pin the representation, as the paper argues")

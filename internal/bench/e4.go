@@ -49,46 +49,48 @@ func runE4(p Params) []*Table {
 		return []*Table{calls, amort}
 	}
 
-	runWith := func(fn string, args ...vm.Value) (time.Duration, *vm.VM, error) {
-		machine := vm.New(prog.Module, vm.Options{})
-		bridge := ffi.NewBridge(1 << 16)
-		for i := range bridge.Arena {
-			bridge.Arena[i] = byte(i*7 + 1) // never NUL before offset 8? ensure strlen target
+	bridge := ffi.NewBridge(1 << 16)
+	for i := range bridge.Arena {
+		bridge.Arena[i] = byte(i*7 + 1) // never NUL before offset 8? ensure strlen target
+	}
+	bridge.Arena[8] = 0
+	// call runs fn(args) on a fresh VM wired to the bridge, kept in *m.
+	call := func(m **vm.VM, fn string, args ...vm.Value) func() error {
+		return func() error {
+			*m = vm.New(prog.Module, vm.Options{})
+			bridge.Register(*m)
+			_, err := (*m).RunFunc(fn, args...)
+			return err
 		}
-		bridge.Arena[8] = 0
-		bridge.Register(machine)
-		start := time.Now()
-		_, rerr := machine.RunFunc(fn, args...)
-		return time.Since(start), machine, rerr
 	}
 
-	dNative, _, err := runWith("native-loop", vm.IntValue(n))
+	var m, ext *vm.VM // ext's counters are reported; m only receives machines
+	ns, err := timeRuns(p.Reps, false,
+		call(&m, "native-loop", vm.IntValue(n)),
+		call(&ext, "extern-loop", vm.IntValue(n)),
+		call(&m, "extern-loop2", vm.IntValue(n)))
 	if err != nil {
 		calls.Notes = append(calls.Notes, err.Error())
 		return []*Table{calls, amort}
 	}
-	calls.AddRow("native bitc call", 2, n, dNative, time.Duration(int64(dNative)/n))
-	dExt, mExt, err := runWith("extern-loop", vm.IntValue(n))
-	if err == nil {
-		calls.AddRow("extern (2 args marshalled)", 2, n, dExt, time.Duration(int64(dExt)/n))
-		calls.Notes = append(calls.Notes,
-			fmt.Sprintf("extern/native per-call ratio %.2fx; %d bytes marshalled",
-				ratio(dExt, dNative), mExt.Stats.MarshalledBytes))
+	for i, label := range []string{"native bitc call", "extern (2 args marshalled)", "extern (3 args marshalled)"} {
+		d := median(ns[i])
+		calls.AddRow(label, []int{2, 2, 3}[i], n, d, d/time.Duration(n))
 	}
-	if d3, _, err := runWith("extern-loop2", vm.IntValue(n)); err == nil {
-		calls.AddRow("extern (3 args marshalled)", 3, n, d3, time.Duration(int64(d3)/n))
-	}
+	calls.Notes = append(calls.Notes,
+		fmt.Sprintf("extern/native per-call ratio %s; %d bytes marshalled",
+			spreadOf(ratios(ns[1], ns[0])), ext.Stats.MarshalledBytes))
 
 	cn := int64(300 * p.Scale)
 	for _, size := range []int64{64, 1024, 16 * 1024, 64 * 1024} {
-		d, _, err := runWith("checksum-loop", vm.IntValue(cn), vm.IntValue(size))
+		ns, err := timeRuns(p.Reps, false, call(&m, "checksum-loop", vm.IntValue(cn), vm.IntValue(size)))
 		if err != nil {
 			amort.Notes = append(amort.Notes, err.Error())
 			continue
 		}
-		perCall := time.Duration(int64(d) / cn)
+		d := median(ns[0])
 		perByte := float64(d.Nanoseconds()) / float64(cn*size)
-		amort.AddRow(fmt.Sprintf("%d B", size), cn, d, perCall, fmt.Sprintf("%.2f ns", perByte))
+		amort.AddRow(fmt.Sprintf("%d B", size), cn, d, d/time.Duration(cn), fmt.Sprintf("%.2f ns", perByte))
 	}
 	amort.Notes = append(amort.Notes,
 		"per-byte cost falls as buffers grow: the boundary is a constant, not a wall — the fallacy fails")

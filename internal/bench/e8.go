@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"bitc/internal/analysis"
 	"bitc/internal/core"
@@ -33,10 +32,13 @@ func runE8(p Params) []*Table {
 			dynamic.Notes = append(dynamic.Notes, fmt.Sprintf("%s: %v", disc, err))
 			continue
 		}
-		machine := vm.New(prog.Module, vm.Options{Seed: 1234, Quantum: 11})
-		start := time.Now()
-		val, rerr := machine.RunFunc("entry", vm.IntValue(n))
-		wall := time.Since(start)
+		var machine *vm.VM
+		var val vm.Value
+		ns, rerr := timeRuns(p.Reps, false, func() (err error) {
+			machine = vm.New(prog.Module, vm.Options{Seed: 1234, Quantum: 11})
+			val, err = machine.RunFunc("entry", vm.IntValue(n))
+			return err
+		})
 		if rerr != nil {
 			dynamic.Notes = append(dynamic.Notes, fmt.Sprintf("%s: %v", disc, rerr))
 			continue
@@ -45,7 +47,7 @@ func runE8(p Params) []*Table {
 		if val.I != 100000 {
 			invariant = fmt.Sprintf("VIOLATED (%+d)", val.I-100000)
 		}
-		dynamic.AddRow(disc, 2*n, val.I, invariant, wall,
+		dynamic.AddRow(disc, 2*n, val.I, invariant, median(ns[0]),
 			machine.Stats.TxCommits, machine.Stats.TxAborts, machine.Stats.Switches)
 
 		rep, err := prog.Analyze(analysis.Options{Enable: []string{"race"}})

@@ -104,15 +104,11 @@ func metricsE9(p Params, deterministic bool) (*obs.MetricsDoc, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E9 shards=%d: %w", shards, err)
 		}
-		wall := res.WallNS
-		if deterministic {
-			wall = 0
-		}
 		doc.Rows = append(doc.Rows, obs.Metrics{
 			Workload: "serve",
 			Mode:     fmt.Sprintf("shards-%d", shards),
 			N:        users,
-			WallNS:   wall,
+			WallNS:   res.WallNS, // 0 when deterministic
 			Counters: obs.Counters{TxCommits: res.TxCommits, TxAborts: res.TxAborts},
 			Derived: map[string]float64{
 				"shards":            float64(shards),

@@ -8,12 +8,12 @@ package bench
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"bitc/internal/analysis"
 	"bitc/internal/core"
 	"bitc/internal/corpus"
 	"bitc/internal/factstore"
+	"bitc/internal/ir"
 	"bitc/internal/obs"
 	"bitc/internal/opt"
 	"bitc/internal/vm"
@@ -66,133 +66,111 @@ func countersOf(s vm.Stats) obs.Counters {
 	}
 }
 
-// measure runs entry(arg) under mode and fills one Metrics row. Wall time is
-// best-of-3 when measured (deterministic runs execute once and zero it).
-func measure(p *core.Program, workload, mode string, repMode vm.RepMode, arg int64, deterministic bool) (obs.Metrics, error) {
-	wall, machine, err := bestOf3(p, vm.Options{Mode: repMode}, arg, deterministic)
-	if err != nil {
-		return obs.Metrics{}, fmt.Errorf("%s/%s: %w", workload, mode, err)
+// entryRun returns a closure that runs entry(arg) on a fresh VM, leaving
+// the machine in *m for counter inspection.
+func entryRun(mod *ir.Module, opts vm.Options, arg int64, m **vm.VM) func() error {
+	return func() error {
+		*m = vm.New(mod, opts)
+		_, err := (*m).RunFunc("entry", vm.IntValue(arg))
+		return err
 	}
-	return obs.Metrics{
-		Workload: workload,
-		Mode:     mode,
-		N:        arg,
-		WallNS:   wall,
-		Counters: countersOf(machine.Stats),
-	}, nil
 }
 
-// bestOf3 runs entry(arg) on fresh VMs and returns the fastest wall time (in
-// ns, 0 when deterministic) plus the last machine for counter inspection.
-func bestOf3(p *core.Program, opts vm.Options, arg int64, deterministic bool) (int64, *vm.VM, error) {
-	runs := 3
-	if deterministic {
-		runs = 1
+// newDoc starts a document whose timed rows are medians over p.Reps runs.
+func newDoc(id string, p Params, deterministic bool) *obs.MetricsDoc {
+	doc := obs.NewMetricsDoc(id, deterministic)
+	if !deterministic {
+		doc.Reps = p.Reps
 	}
-	var best int64
-	var machine *vm.VM
-	for i := 0; i < runs; i++ {
-		machine = vm.New(p.Module, opts)
-		start := time.Now()
-		if _, err := machine.RunFunc("entry", vm.IntValue(arg)); err != nil {
-			return 0, machine, err
-		}
-		if d := time.Since(start).Nanoseconds(); i == 0 || d < best {
-			best = d
-		}
-	}
-	if deterministic {
-		best = 0
-	}
-	return best, machine, nil
+	return doc
 }
 
-// metricsE1 exports the boxed-vs-unboxed comparison (fallacy 1): every
-// canonical workload under both representations, plus derived box-pressure
-// ratios. On measured (non-deterministic) runs each unboxed row also carries
-// dispatchSpeedup — fused dispatch over the legacy switch interpreter on the
-// same kernel — and, for kernels where the bounds prover discharged sites,
-// boundsElisionSpeedup — the same kernel with proof-guided bounds-check
-// elision over the checked baseline. Final geomean rows summarise both, so
-// the trajectory records the interpreter rebuild and the prover payoff
-// without disturbing the boxed/unboxed ratio shape.
+// setRatio stores s under key, its quartiles under key+"Q1" and key+"Q3".
+func setRatio(d map[string]float64, key string, s spread) {
+	d[key], d[key+"Q1"], d[key+"Q3"] = s.med, s.q1, s.q3
+}
+
+// metricsE1 is the one E1 measurement (fallacy 1), which the E1 table
+// renders. Kernels compile under core.DefaultConfig (O2, as the benchmark's
+// kernels workload) and run unboxed and boxed; measured runs add the switch
+// interpreter and proof-guided elision to the same repetitions and record
+// boxedRatio, dispatchSpeedup (switch/fused) and boundsElisionSpeedup
+// (checked/elided), with a geomean row across kernels per repetition.
 func metricsE1(p Params, deterministic bool) (*obs.MetricsDoc, error) {
-	doc := obs.NewMetricsDoc("E1", deterministic)
-	speedupProduct, speedups := 1.0, 0
-	elideProduct, elisions := 1.0, 0
+	doc := newDoc("E1", p, deterministic)
+	var dispatch, elide [][]float64
 	for _, w := range workloads() {
-		prog, err := core.Load(w.name, w.src, core.Config{Optimize: opt.O1})
+		prog, err := core.Load(w.name, w.src, core.DefaultConfig)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", w.name, err)
 		}
 		arg := w.arg(p.Scale)
-		un, err := measure(prog, w.name, "unboxed", vm.Unboxed, arg, deterministic)
-		if err != nil {
-			return nil, err
+		var unboxed, boxed, other *vm.VM
+		runs := []func() error{
+			entryRun(prog.Module, vm.Options{Mode: vm.Unboxed}, arg, &unboxed),
+			entryRun(prog.Module, vm.Options{Mode: vm.Boxed}, arg, &boxed),
 		}
-		if !deterministic && un.WallNS > 0 {
-			legacy, _, err := bestOf3(prog,
-				vm.Options{Mode: vm.Unboxed, Dispatch: vm.DispatchSwitch}, arg, false)
-			if err != nil {
-				return nil, fmt.Errorf("%s/switch: %w", w.name, err)
-			}
-			s := float64(legacy) / float64(un.WallNS)
-			un.Derived = map[string]float64{"dispatchSpeedup": s}
-			speedupProduct *= s
-			speedups++
-
-			eprog, err := core.Load(w.name, w.src, core.Config{Optimize: opt.O1, BoundsElide: true})
+		var proofs *analysis.BoundsProofSet
+		if !deterministic {
+			runs = append(runs, entryRun(prog.Module, vm.Options{Mode: vm.Unboxed, Dispatch: vm.DispatchSwitch}, arg, &other))
+			cfg := core.DefaultConfig
+			cfg.BoundsElide = true
+			eprog, err := core.Load(w.name, w.src, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s/elide: %w", w.name, err)
 			}
-			if eprog.Proofs != nil && eprog.Proofs.Proved > 0 {
-				// Paired measurement: re-time the checked baseline back to
-				// back with the elided run so the ratio compares two
-				// adjacent timings instead of inheriting whatever drift
-				// separates this block from the row measurement above.
-				checked, _, err := bestOf3(prog, vm.Options{Mode: vm.Unboxed}, arg, false)
-				if err != nil {
-					return nil, fmt.Errorf("%s/elide-baseline: %w", w.name, err)
-				}
-				elided, _, err := bestOf3(eprog,
-					vm.Options{Mode: vm.Unboxed, BoundsElide: eprog.Proofs.Elidable()}, arg, false)
-				if err != nil {
-					return nil, fmt.Errorf("%s/elide: %w", w.name, err)
-				}
-				es := float64(checked) / float64(elided)
-				un.Derived["boundsElisionSpeedup"] = es
-				un.Derived["boundsProved"] = float64(eprog.Proofs.Proved)
-				un.Derived["boundsSites"] = float64(eprog.Proofs.Sites)
-				elideProduct *= es
-				elisions++
+			if proofs = eprog.Proofs; proofs.Proved > 0 {
+				runs = append(runs, entryRun(eprog.Module, vm.Options{Mode: vm.Unboxed, BoundsElide: proofs.Elidable()}, arg, &other))
 			}
 		}
-		bx, err := measure(prog, w.name, "boxed", vm.Boxed, arg, deterministic)
+		ns, err := timeRuns(p.Reps, deterministic, runs...)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", w.name, err)
 		}
-		if un.Counters.Instrs > 0 {
-			bx.Derived = map[string]float64{
-				"boxAllocsPerInstr": float64(bx.Counters.BoxAllocs) / float64(bx.Counters.Instrs),
-				"boxReadsPerInstr":  float64(bx.Counters.BoxReads) / float64(bx.Counters.Instrs),
+		row := func(mode string, ns []uint64, m *vm.VM) obs.Metrics {
+			return obs.Metrics{Workload: w.name, Mode: mode, N: arg, Opt: core.DefaultConfig.Optimize.String(),
+				WallNS: int64(median(ns)), Counters: countersOf(m.Stats)}
+		}
+		un, bx := row("unboxed", ns[0], unboxed), row("boxed", ns[1], boxed)
+		bx.Derived = map[string]float64{
+			"boxAllocsPerInstr": float64(bx.Counters.BoxAllocs) / float64(bx.Counters.Instrs),
+			"boxReadsPerInstr":  float64(bx.Counters.BoxReads) / float64(bx.Counters.Instrs),
+		}
+		if !deterministic {
+			setRatio(bx.Derived, "boxedRatio", spreadOf(ratios(ns[1], ns[0])))
+			dispatch = append(dispatch, ratios(ns[2], ns[0]))
+			un.Derived = map[string]float64{}
+			setRatio(un.Derived, "dispatchSpeedup", spreadOf(dispatch[len(dispatch)-1]))
+			if proofs.Proved > 0 {
+				elide = append(elide, ratios(ns[0], ns[3]))
+				setRatio(un.Derived, "boundsElisionSpeedup", spreadOf(elide[len(elide)-1]))
+				un.Derived["boundsProved"] = float64(proofs.Proved)
+				un.Derived["boundsSites"] = float64(proofs.Sites)
 			}
 		}
 		doc.Rows = append(doc.Rows, un, bx)
 	}
-	if speedups > 0 {
-		derived := map[string]float64{
-			"dispatchSpeedup": math.Pow(speedupProduct, 1/float64(speedups)),
+	if len(dispatch) > 0 {
+		derived := map[string]float64{}
+		setRatio(derived, "dispatchSpeedup", geomeanPairs(dispatch))
+		if len(elide) > 0 {
+			setRatio(derived, "boundsElisionSpeedup", geomeanPairs(elide))
 		}
-		if elisions > 0 {
-			derived["boundsElisionSpeedup"] = math.Pow(elideProduct, 1/float64(elisions))
-		}
-		doc.Rows = append(doc.Rows, obs.Metrics{
-			Workload: "geomean",
-			Mode:     "unboxed",
-			Derived:  derived,
-		})
+		doc.Rows = append(doc.Rows, obs.Metrics{Workload: "geomean", Mode: "unboxed", Opt: core.DefaultConfig.Optimize.String(), Derived: derived})
 	}
 	return doc, nil
+}
+
+// geomeanPairs summarises, per repetition i, the geomean of perKernel[k][i].
+func geomeanPairs(perKernel [][]float64) spread {
+	g := make([]float64, len(perKernel[0]))
+	for i := range g {
+		g[i] = 1
+		for _, rs := range perKernel {
+			g[i] *= math.Pow(rs[i], 1/float64(len(perKernel)))
+		}
+	}
+	return spreadOf(g)
 }
 
 // metricsEA exports static-analysis cost: the full analyzer suite over the
@@ -202,41 +180,32 @@ func metricsE1(p Params, deterministic bool) (*obs.MetricsDoc, error) {
 // lands in Derived so a checker regression that changes coverage shows up
 // in trajectory diffs too.
 func metricsEA(p Params, deterministic bool) (*obs.MetricsDoc, error) {
-	doc := obs.NewMetricsDoc("EA", deterministic)
-	type target struct {
-		name string
-		src  string
-	}
-	var targets []target
-	for _, w := range workloads() {
-		targets = append(targets, target{w.name, w.src})
-	}
-	targets = append(targets, target{"bankstm", bankSrc("none", int64(100*p.Scale))})
+	doc := newDoc("EA", p, deterministic)
+	targets := append(workloads(), workload{name: "bankstm", src: bankSrc("none", int64(100*p.Scale))})
 	for _, tg := range targets {
 		prog, err := core.Load(tg.name, tg.src, core.Config{Optimize: opt.O2})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", tg.name, err)
 		}
-		for _, mode := range []struct {
-			name        string
-			parallelism int
-		}{{"sequential", 1}, {"parallel", 0}} {
-			start := time.Now()
-			rep, err := prog.Analyze(analysis.Options{Parallelism: mode.parallelism})
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", tg.name, mode.name, err)
+		var reps [2]*analysis.Report
+		analyze := func(i, parallelism int) func() error {
+			return func() (err error) {
+				reps[i], err = prog.Analyze(analysis.Options{Parallelism: parallelism})
+				return err
 			}
-			wall := time.Since(start).Nanoseconds()
-			if deterministic {
-				wall = 0
-			}
+		}
+		ns, err := timeRuns(p.Reps, deterministic, analyze(0, 1), analyze(1, 0))
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", tg.name, err)
+		}
+		for i, mode := range []string{"sequential", "parallel"} {
 			doc.Rows = append(doc.Rows, obs.Metrics{
 				Workload:   tg.name,
-				Mode:       mode.name,
-				AnalysisNS: wall,
+				Mode:       mode,
+				AnalysisNS: int64(median(ns[i])),
 				Derived: map[string]float64{
-					"findings":   float64(len(rep.Findings)),
-					"suppressed": float64(len(rep.Suppressed)),
+					"findings":   float64(len(reps[i].Findings)),
+					"suppressed": float64(len(reps[i].Suppressed)),
 				},
 			})
 		}
@@ -251,8 +220,32 @@ func metricsEA(p Params, deterministic bool) (*obs.MetricsDoc, error) {
 // findings and the per-run cache hit/miss traffic land in Derived, so a
 // key-scheme regression that silently widens invalidation shows up as a
 // miss-count jump in trajectory diffs even when the timings are noisy.
+// Each row is timed once: the store a call leaves behind is the next
+// row's input, so a repeated cold call would measure a warm one.
 func metricsAnalyze(p Params, deterministic bool) (*obs.MetricsDoc, error) {
 	doc := obs.NewMetricsDoc("ANALYZE", deterministic)
+	// row times one call and appends its row: the size and derived facts
+	// it returns plus the store traffic it caused.
+	row := func(workload, mode string, store *factstore.Store, call func() (int64, map[string]float64, error)) error {
+		var n int64
+		var derived map[string]float64
+		before := store.Stats()
+		ns, err := timeRuns(1, deterministic, func() (err error) {
+			n, derived, err = call()
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("ANALYZE/%s-%s: %w", workload, mode, err)
+		}
+		after := store.Stats()
+		derived["cacheHits"] = float64(after.Hits - before.Hits)
+		derived["cacheMisses"] = float64(after.Misses - before.Misses)
+		doc.Rows = append(doc.Rows, obs.Metrics{
+			Workload: workload, Mode: mode, N: n, AnalysisNS: int64(ns[0][0]), Derived: derived,
+		})
+		return nil
+	}
+
 	nfuncs := 200 * p.Scale
 	if nfuncs < 400 {
 		nfuncs = 400
@@ -267,40 +260,22 @@ func metricsAnalyze(p Params, deterministic bool) (*obs.MetricsDoc, error) {
 		return nil, fmt.Errorf("ANALYZE edited corpus: %w", err)
 	}
 	store := factstore.New()
-	run := func(mode string, pr *core.Program) error {
-		before := store.Stats()
-		start := time.Now()
-		rep, aerr := pr.AnalyzeWithStore(analysis.Options{}, store)
-		if aerr != nil {
-			return fmt.Errorf("ANALYZE/%s: %w", mode, aerr)
+	for _, tier := range []struct {
+		mode string
+		prog *core.Program
+	}{{"cold", prog}, {"warm", prog}, {"warm-one-edit", eprog}} {
+		if err := row("incr-corpus", tier.mode, store, func() (int64, map[string]float64, error) {
+			rep, err := tier.prog.AnalyzeWithStore(analysis.Options{}, store)
+			if err != nil {
+				return 0, nil, err
+			}
+			return int64(nfuncs), map[string]float64{
+				"findings": float64(len(rep.Findings)),
+				"funcs":    float64(nfuncs),
+			}, nil
+		}); err != nil {
+			return nil, err
 		}
-		wall := time.Since(start).Nanoseconds()
-		if deterministic {
-			wall = 0
-		}
-		after := store.Stats()
-		doc.Rows = append(doc.Rows, obs.Metrics{
-			Workload:   "incr-corpus",
-			Mode:       mode,
-			N:          int64(nfuncs),
-			AnalysisNS: wall,
-			Derived: map[string]float64{
-				"findings":    float64(len(rep.Findings)),
-				"funcs":       float64(nfuncs),
-				"cacheHits":   float64(after.Hits - before.Hits),
-				"cacheMisses": float64(after.Misses - before.Misses),
-			},
-		})
-		return nil
-	}
-	if err := run("cold", prog); err != nil {
-		return nil, err
-	}
-	if err := run("warm", prog); err != nil {
-		return nil, err
-	}
-	if err := run("warm-one-edit", eprog); err != nil {
-		return nil, err
 	}
 
 	// Transaction-safety tier: the atomicity pass (BITC-ATOM001..004) over
@@ -313,36 +288,16 @@ func metricsAnalyze(p Params, deterministic bool) (*obs.MetricsDoc, error) {
 		return nil, fmt.Errorf("ANALYZE atomicity fixture: %w", err)
 	}
 	astore := factstore.New()
-	runAtom := func(mode string) error {
-		before := astore.Stats()
-		start := time.Now()
-		rep, aerr := aprog.AnalyzeWithStore(analysis.Options{Enable: []string{"atomicity"}}, astore)
-		if aerr != nil {
-			return fmt.Errorf("ANALYZE/atomicity-%s: %w", mode, aerr)
+	for _, mode := range []string{"cold", "warm"} {
+		if err := row("atomicity", mode, astore, func() (int64, map[string]float64, error) {
+			rep, err := aprog.AnalyzeWithStore(analysis.Options{Enable: []string{"atomicity"}}, astore)
+			if err != nil {
+				return 0, nil, err
+			}
+			return int64(len(rep.Findings)), map[string]float64{"findings": float64(len(rep.Findings))}, nil
+		}); err != nil {
+			return nil, err
 		}
-		wall := time.Since(start).Nanoseconds()
-		if deterministic {
-			wall = 0
-		}
-		after := astore.Stats()
-		doc.Rows = append(doc.Rows, obs.Metrics{
-			Workload:   "atomicity",
-			Mode:       mode,
-			N:          int64(len(rep.Findings)),
-			AnalysisNS: wall,
-			Derived: map[string]float64{
-				"findings":    float64(len(rep.Findings)),
-				"cacheHits":   float64(after.Hits - before.Hits),
-				"cacheMisses": float64(after.Misses - before.Misses),
-			},
-		})
-		return nil
-	}
-	if err := runAtom("cold"); err != nil {
-		return nil, err
-	}
-	if err := runAtom("warm"); err != nil {
-		return nil, err
 	}
 
 	// Bounds-prover tier: the relational range analysis over the E1 kernels,
@@ -358,25 +313,12 @@ func metricsAnalyze(p Params, deterministic bool) (*obs.MetricsDoc, error) {
 		}
 		bstore := factstore.New()
 		for _, mode := range []string{"bounds-cold", "bounds-warm"} {
-			before := bstore.Stats()
-			start := time.Now()
-			ps := analysis.BoundsProofsWithStore(bprog.AST, bprog.Info, bstore)
-			wall := time.Since(start).Nanoseconds()
-			if deterministic {
-				wall = 0
+			if err := row(w.name, mode, bstore, func() (int64, map[string]float64, error) {
+				ps := analysis.BoundsProofsWithStore(bprog.AST, bprog.Info, bstore)
+				return 0, map[string]float64{"sites": float64(ps.Sites), "proved": float64(ps.Proved)}, nil
+			}); err != nil {
+				return nil, err
 			}
-			after := bstore.Stats()
-			doc.Rows = append(doc.Rows, obs.Metrics{
-				Workload:   w.name,
-				Mode:       mode,
-				AnalysisNS: wall,
-				Derived: map[string]float64{
-					"sites":       float64(ps.Sites),
-					"proved":      float64(ps.Proved),
-					"cacheHits":   float64(after.Hits - before.Hits),
-					"cacheMisses": float64(after.Misses - before.Misses),
-				},
-			})
 		}
 	}
 	return doc, nil
@@ -419,7 +361,7 @@ const atomicitySrc = `
 // transfer workload under no synchronisation, a coarse lock, and STM, with
 // the abort rate as the headline derived metric.
 func metricsE8(p Params, deterministic bool) (*obs.MetricsDoc, error) {
-	doc := obs.NewMetricsDoc("E8", deterministic)
+	doc := newDoc("E8", p, deterministic)
 	transfers := int64(100 * p.Scale)
 	for _, sync := range []string{"none", "coarse", "stm"} {
 		prog, err := core.Load("bankstm-"+sync, bankSrc(sync, transfers), core.Config{
@@ -430,21 +372,21 @@ func metricsE8(p Params, deterministic bool) (*obs.MetricsDoc, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bankstm/%s: %w", sync, err)
 		}
-		machine := prog.NewVM()
-		start := time.Now()
-		val, err := machine.RunFunc("entry", vm.IntValue(transfers))
+		var machine *vm.VM
+		var val vm.Value
+		ns, err := timeRuns(p.Reps, deterministic, func() (err error) {
+			machine = prog.NewVM()
+			val, err = machine.RunFunc("entry", vm.IntValue(transfers))
+			return err
+		})
 		if err != nil {
 			return nil, fmt.Errorf("bankstm/%s: %w", sync, err)
-		}
-		wall := time.Since(start).Nanoseconds()
-		if deterministic {
-			wall = 0
 		}
 		m := obs.Metrics{
 			Workload: "bankstm",
 			Mode:     sync,
 			N:        transfers,
-			WallNS:   wall,
+			WallNS:   int64(median(ns[0])),
 			Counters: countersOf(machine.Stats),
 			Derived: map[string]float64{
 				// 2n transfers conserve the total only when synchronised;

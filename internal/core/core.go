@@ -78,22 +78,17 @@ type Program struct {
 
 // Load parses, type-checks, compiles, and optimises source text.
 func Load(name, src string, cfg Config) (*Program, error) {
-	prog, diags := parser.Parse(name, src)
-	if err := diags.ErrOrNil(); err != nil {
-		return nil, fmt.Errorf("parse: %w", err)
+	p, err := LoadAnalysis(name, src)
+	if err != nil {
+		return nil, err
 	}
-	info, cdiags := types.Check(prog)
-	if err := cdiags.ErrOrNil(); err != nil {
-		return nil, fmt.Errorf("typecheck: %w", err)
-	}
-	mod, mdiags := compiler.Compile(prog, info, compiler.Options{EmitContracts: cfg.EmitContracts})
+	mod, mdiags := compiler.Compile(p.AST, p.Info, compiler.Options{EmitContracts: cfg.EmitContracts})
 	if err := mdiags.ErrOrNil(); err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
-	res := opt.Optimize(mod, cfg.Optimize)
-	p := &Program{Name: name, AST: prog, Info: info, Module: mod, Opt: res, cfg: cfg}
+	p.Module, p.Opt, p.cfg = mod, opt.Optimize(mod, cfg.Optimize), cfg
 	if cfg.BoundsElide {
-		p.Proofs = analysis.BoundsProofs(prog, info)
+		p.Proofs = analysis.BoundsProofs(p.AST, p.Info)
 	}
 	return p, nil
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
+	"strings"
 	"time"
 )
 
@@ -47,13 +49,16 @@ type Metrics struct {
 	Mode string `json:"mode"`
 	// N is the problem size passed to the workload's entry function.
 	N int64 `json:"n"`
-	// WallNS is the measured wall time in nanoseconds; 0 when the run was
-	// collected deterministically (wall time is the one nondeterministic
-	// field, so deterministic trajectories zero it).
+	// Opt is the optimisation level the workload compiled at ("O2"), where
+	// the experiment fixes one. Additive in bitc-metrics/v1.
+	Opt string `json:"opt,omitempty"`
+	// WallNS is the measured wall time in nanoseconds (median over Reps); 0
+	// when the run was collected deterministically (wall time is the one
+	// nondeterministic field, so deterministic trajectories zero it).
 	WallNS int64 `json:"wallNs"`
 	// AnalysisNS is the wall time of the static-analysis driver over the
-	// workload, in nanoseconds; 0 when not measured or when the run was
-	// collected deterministically. Additive in bitc-metrics/v1.
+	// workload, in nanoseconds (median over Reps); 0 when not measured or
+	// when collected deterministically. Additive in bitc-metrics/v1.
 	AnalysisNS int64 `json:"analysisNs,omitempty"`
 	// Counters are the VM's counters at the end of the run.
 	Counters Counters `json:"counters"`
@@ -70,18 +75,39 @@ type MetricsDoc struct {
 	Experiment string `json:"experiment"`
 	// Generated is the RFC3339 collection time, "" for deterministic runs.
 	Generated string `json:"generated,omitempty"`
+	// GoVersion, GOMAXPROCS and CPU (/proc/cpuinfo model name) describe the
+	// host of a measured run; like Generated they are omitted on
+	// deterministic runs. Additive in bitc-metrics/v1.
+	GoVersion  string `json:"goVersion,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
+	// Reps is the number of interleaved repetitions behind each timed row,
+	// omitted where rows are timed once. Additive in bitc-metrics/v1.
+	Reps int `json:"reps,omitempty"`
 	// Rows are the measured runs.
 	Rows []Metrics `json:"rows"`
 }
 
 // NewMetricsDoc creates an empty document for an experiment, stamping the
-// generation time unless deterministic.
+// generation time and host unless deterministic.
 func NewMetricsDoc(experiment string, deterministic bool) *MetricsDoc {
 	d := &MetricsDoc{Schema: MetricsSchema, Experiment: experiment}
 	if !deterministic {
 		d.Generated = time.Now().UTC().Format(time.RFC3339)
+		d.GoVersion, d.GOMAXPROCS, d.CPU = runtime.Version(), runtime.GOMAXPROCS(0), cpuModel()
 	}
 	return d
+}
+
+// cpuModel returns the first "model name" in /proc/cpuinfo, or "".
+func cpuModel() string {
+	b, _ := os.ReadFile("/proc/cpuinfo") // absent off Linux: no model, no error
+	for _, line := range strings.Split(string(b), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
 }
 
 // MetricsPath returns the conventional file name for an experiment's

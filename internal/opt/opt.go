@@ -8,6 +8,8 @@
 package opt
 
 import (
+	"strconv"
+
 	"bitc/internal/ir"
 	"bitc/internal/types"
 )
@@ -21,6 +23,9 @@ const (
 	O1              // local: const-fold, copy-prop, DCE
 	O2              // O1 + inlining + unboxing annotation
 )
+
+// String names the level as the metrics files record it ("O2").
+func (l Level) String() string { return "O" + strconv.Itoa(int(l)) }
 
 // Result summarises what the optimiser did (for the experiment tables).
 type Result struct {

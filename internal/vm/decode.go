@@ -24,9 +24,6 @@ const (
 	// DispatchFused pre-decodes into specialized handlers and fuses
 	// superinstructions (the default).
 	DispatchFused DispatchMode = iota
-	// DispatchSpecialized pre-decodes into specialized handlers but skips
-	// the fusion pass.
-	DispatchSpecialized
 	// DispatchSwitch is the legacy per-instruction switch interpreter, kept
 	// as the behavioural reference and performance baseline.
 	DispatchSwitch
@@ -34,14 +31,10 @@ const (
 
 // String names the dispatch mode as it appears in run banners and listings.
 func (m DispatchMode) String() string {
-	switch m {
-	case DispatchSpecialized:
-		return "specialized"
-	case DispatchSwitch:
+	if m == DispatchSwitch {
 		return "switch"
-	default:
-		return "fused"
 	}
+	return "fused"
 }
 
 // handler executes one decoded instruction (or superinstruction). Handlers
@@ -136,7 +129,7 @@ func (v *VM) decodeFunc(df *dfunc, f *ir.Func) {
 		}
 		term := dterm{kind: b.Term.Kind, cond: b.Term.Cond, to: b.Term.To, els: b.Term.Else, val: b.Term.Val}
 		blk := dblock{code: code, term: term}
-		if v.opts.Dispatch == DispatchFused {
+		if v.opts.Dispatch != DispatchSwitch {
 			blk = fuseBlock(blk)
 		}
 		df.blocks[bi] = blk

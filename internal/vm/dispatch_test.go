@@ -1,6 +1,6 @@
 package vm_test
 
-// dispatch_test.go holds the fidelity suite for the specialized/fused
+// dispatch_test.go holds the fidelity suite for the fused
 // interpreter: whatever the dispatch strategy, a program must produce the
 // same value, the same traps, the same core counters, and the same
 // observable event stream. It also pins the decoded listings of two E1
@@ -26,7 +26,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite disasm golden files")
 
 // dispatchModes are the strategies the differential tests sweep.
-var dispatchModes = []vm.DispatchMode{vm.DispatchFused, vm.DispatchSpecialized, vm.DispatchSwitch}
+var dispatchModes = []vm.DispatchMode{vm.DispatchFused, vm.DispatchSwitch}
 
 // coreCounters extracts the dispatch-independent subset of vm.Stats.
 // Switches can legitimately differ (a fused slot may overshoot the quantum

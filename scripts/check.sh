@@ -98,7 +98,7 @@ for f in /tmp/bitc-serve-shard.bitc /tmp/bitc-serve-twopc.bitc examples/bankstm/
 done
 rm -f /tmp/bitc-serve-shard.bitc /tmp/bitc-serve-twopc.bitc
 
-# Dispatch fidelity gate: the fused/specialized interpreter must agree with
+# Dispatch fidelity gate: the fused interpreter must agree with
 # the legacy switch baseline on values, traps, counters, and observer
 # streams over the kernel + example corpus, and the pinned fusion listings
 # of two E1 kernels must not drift silently (regenerate with -update and
@@ -148,6 +148,18 @@ d1=$(mktemp -d); d2=$(mktemp -d)
 cmp "$d1/BENCH_E1.json" "$d2/BENCH_E1.json" || {
     echo "deterministic E1 runs differ byte-for-byte"; exit 1; }
 echo "bench determinism: E1 deterministic collection is byte-reproducible"
+rm -rf "$d1" "$d2"
+# The same holds for every metrics exporter (bench.MetricsExperiments(),
+# which -metrics without -e writes): two deterministic collections of each
+# must be byte-identical.
+d1=$(mktemp -d); d2=$(mktemp -d)
+/tmp/bitc-bench-check -quick -deterministic -metrics "$d1" > /dev/null
+/tmp/bitc-bench-check -quick -deterministic -metrics "$d2" > /dev/null
+for f in "$d1"/BENCH_*.json; do
+    cmp "$f" "$d2/$(basename "$f")" || {
+        echo "deterministic $(basename "$f") runs differ byte-for-byte"; exit 1; }
+done
+echo "bench determinism: $(ls "$d1" | wc -l) deterministic metrics collections are byte-reproducible"
 rm -rf "$d1" "$d2" /tmp/bitc-bench-check
 
 # Serving smoke gate (~2s): 10k transactions across 4 shards with
